@@ -26,6 +26,8 @@ from .number import (
     from_scalar,
     omega,
     part,
+    recurrence,
+    recurrence_sum,
 )
 from .scalar import (
     PRECISION_BUDGET,
@@ -48,10 +50,6 @@ from .verdict import (
     refuted,
     unknown,
 )
-
-_SIN_CYCLE = ("sin", "cos", "-sin", "-cos")
-_COS_CYCLE = ("cos", "-sin", "-cos", "sin")
-
 
 def _compare_scalar(value, op: str, bound, budget: int):
     """Decide St-predicates exactly on rationals, by sign certificate on
@@ -133,12 +131,26 @@ def transcendental(kind: str, x: RzlNumber, depth: int = DEFAULT_DEPTH,
                    budget: int = PRECISION_BUDGET) -> RzlNumber:
     """sin/cos/exp of a stream with no infinite part.
 
-    Evaluated as the series shifted around the standard part s with the
-    infinitesimal displacement d: coefficient k is the finite sum over
-    n <= k of g_n(s) * (d**n)[k], where g_n(s) is the n-th derivative of
-    the outer function at s divided by n!.  A nonzero (or undecidable)
-    coefficient at a negative index makes every output coefficient an
-    infinite sum, so infinite arguments are rejected outright.
+    With s the standard part and d = Nst_eps(x) the infinitesimal
+    displacement (d_j = x[j] for j >= 1), the series E = exp(d),
+    S = sin(d) and C = cos(d) follow from the differential recurrences
+    (Brent & Kung 1978):
+
+        E_0 = 1,           k*E_k = sum(j*d_j*E_{k-j}, j = 1..k)
+        S_0 = 0, C_0 = 1,  k*S_k = sum(j*d_j*C_{k-j}),
+                           k*C_k = -sum(j*d_j*S_{k-j})
+
+    and the addition formulas give exp(s+d) = e^s*E, sin(s+d) =
+    sin s*C + cos s*S and cos(s+d) = cos s*C - sin s*S; at s = 0 the
+    output is E, S or C itself.  The inner sums stop at j = D when d has
+    finite support D, so K coefficients cost O(K*D) scalar operations, and
+    O(K**2) for infinite support.  On a rational displacement the
+    recurrences stay in exact rationals, and each output coefficient
+    touches a computable real at most twice.
+
+    A nonzero (or undecidable) coefficient at a negative index makes every
+    output coefficient an infinite sum, so infinite arguments are rejected
+    outright.
     """
     if kind not in ("sin", "cos", "exp"):
         raise ValueError(f"unknown series function {kind!r}")
@@ -150,53 +162,48 @@ def transcendental(kind: str, x: RzlNumber, depth: int = DEFAULT_DEPTH,
     if not is_rational_scalar(s):
         raise DomainError("series functions need an exact rational standard part")
     s = Fraction(s)
-    delta = part(x, PartSelector.NST_EPSILON)
-    coeff = _taylor_coefficients(kind, s)
+    top = x.finite_support
+    weight = recurrence(lambda j, _: scalar_mul(j, x[j]), 0)   # j*d_j
 
-    powers = [None, delta]   # powers[n] = delta**n, grown on demand
+    def weighted(k, seq, pick):
+        """sum(j*d_j*seq[k-j][pick], j = 1..k), stopping at the support of d."""
+        return recurrence_sum(weight, lambda i: seq[i][pick], k, top)
 
-    def delta_pow(n):
-        while len(powers) <= n:
-            powers.append(powers[-1] * delta)
-        return powers[n]
+    # Each entry is a tuple: (E_k,) for exp, (S_k, C_k) for sin and cos.
+    if kind == "exp":
+        exp_s = creal_elementary("exp", s) if s else 1
+        series = recurrence(
+            lambda k, e: (scalar_mul(weighted(k, e, 0), Fraction(1, k)),), (1,))
+    else:
+        sin_s = creal_elementary("sin", s) if s else 0
+        cos_s = creal_elementary("cos", s) if s else 1
+        series = recurrence(
+            lambda k, sc: (scalar_mul(weighted(k, sc, 1), Fraction(1, k)),
+                           scalar_mul(weighted(k, sc, 0), Fraction(-1, k))),
+            (0, 1))
 
     def fn(k):
-        acc = coeff(0) if k == 0 else 0
-        for n in range(1, k + 1):
-            c = coeff(n)
-            if scalar_is_zero(c):
-                continue
-            dnk = delta_pow(n)[k]
-            if scalar_is_zero(dnk):
-                continue
-            acc = scalar_add(acc, scalar_mul(c, dnk))
-        return acc
+        if kind == "exp":
+            return _times(exp_s, series(k)[0])
+        sk, ck = series(k)
+        if kind == "sin":
+            return scalar_add(_times(sin_s, ck), _times(cos_s, sk))
+        return scalar_add(_times(cos_s, ck), _times(sin_s, scalar_neg(sk)))
 
-    fs = 0 if (x.finite_support is not None and x.finite_support <= 0) else None
+    fs = 0 if (top is not None and top <= 0) else None
     return RzlNumber(0, fn, finite_support=fs)
 
 
-def _taylor_coefficients(kind: str, s: Fraction):
-    """n -> n-th derivative of the function at s over n!, exact at s = 0."""
-    if s == 0:
-        base = {"sin": (0, 1, 0, -1), "cos": (1, 0, -1, 0)}
-    else:
-        sin_s = creal_elementary("sin", s)
-        cos_s = creal_elementary("cos", s)
-        base = {"sin": (sin_s, cos_s, -sin_s, -cos_s),
-                "cos": (cos_s, -sin_s, -cos_s, sin_s)}
-    exp_s = Fraction(1) if s == 0 else creal_elementary("exp", s)
-    facts = [1]
-
-    def coeff(n):
-        while len(facts) <= n:
-            facts.append(facts[-1] * len(facts))
-        inv_fact = Fraction(1, facts[n])
-        if kind == "exp":
-            return scalar_mul(exp_s, inv_fact)
-        return scalar_mul(base[kind][n % 4], inv_fact)
-
-    return coeff
+def _times(const, c):
+    """const*c for a constant of the addition formulas.  Keeps provenance
+    tags for `scalar_eq`: an exact zero on either side gives 0 (never a
+    computable-real zero), c = 1 gives const itself and c = -1 its
+    negation."""
+    if scalar_is_zero(const) or scalar_is_zero(c):
+        return 0
+    if is_rational_scalar(c) and c == -1:
+        return scalar_neg(const)
+    return scalar_mul(const, c)
 
 
 # -- Newton-quotient derivative ------------------------------------------------------

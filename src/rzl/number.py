@@ -19,6 +19,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .scalar import (
+    EXACT_TYPES,
     PRECISION_BUDGET,
     is_rational_scalar,
     scalar_add,
@@ -127,7 +128,7 @@ class RzlNumber:
                 b = other[k - i]
                 if scalar_is_zero(b):
                     continue
-                acc = scalar_add(acc, scalar_mul(a, b))
+                acc = _mul_add(acc, a, b)
             return acc
 
         return RzlNumber(low, conv, fs)
@@ -262,6 +263,45 @@ def coefficient_at(x: RzlNumber, i: int):
 
 # -- leading term, inverse, division --------------------------------------------
 
+def recurrence(step, first):
+    """The sequence a[0] = first, a[t] = step(t, a) for t >= 1, as a function
+    t -> a[t]; `step` may read a[0 .. t-1] only.
+
+    Entries are computed in increasing index order, without recursion, into
+    an index-keyed memo whose keys always form a prefix 0 .. n-1.  Threads
+    racing on one index compute equal values and the first write is kept,
+    so a sequence shared between threads stays consistent.
+    """
+    memo = {0: first}
+
+    def at(k):
+        if k not in memo:
+            for t in range(len(memo), k + 1):
+                memo.setdefault(t, step(t, memo))
+        return memo[k]
+
+    return at
+
+
+def recurrence_sum(c, seq, k: int, top: int | None = None):
+    """sum(c(j) * seq(k - j), j = 1 .. k), stopping at j = top: the inner
+    sum of a convolution recurrence.  Exact zeros of c are skipped, so seq
+    is read only where it contributes."""
+    acc = 0
+    for j in range(1, k + 1 if top is None else min(k, top) + 1):
+        a = c(j)
+        if not scalar_is_zero(a):
+            acc = _mul_add(acc, a, seq(k - j))
+    return acc
+
+
+def _mul_add(acc, a, b):
+    """acc + a*b, in plain rational arithmetic when all three are exact."""
+    if type(a) in EXACT_TYPES and type(b) in EXACT_TYPES and type(acc) in EXACT_TYPES:
+        return acc + a * b
+    return scalar_add(acc, scalar_mul(a, b))
+
+
 def leading_index(x: RzlNumber, depth: int = DEFAULT_DEPTH,
                   budget: int = PRECISION_BUDGET) -> Verdict:
     """First index whose coefficient is provably nonzero.
@@ -304,29 +344,11 @@ def inverse(x: RzlNumber, depth: int = DEFAULT_DEPTH,
     a = x[m]
     inv_a = scalar_div(1, a, budget)
 
-    rel_memo = {}
-
-    def rel(j):
-        # coefficient of eps**j in (1+u); rel(0) == 1 by construction
-        if j not in rel_memo:
-            rel_memo[j] = scalar_div(x[m + j], a, budget)
-        return rel_memo[j]
-
-    w = [1]
-
-    def w_at(t):
-        while len(w) <= t:
-            s = len(w)
-            acc = 0
-            for j in range(1, s + 1):
-                if x.finite_support is not None and m + j > x.finite_support:
-                    break
-                c = rel(j)
-                if scalar_is_zero(c):
-                    continue
-                acc = scalar_add(acc, scalar_mul(c, w[s - j]))
-            w.append(scalar_neg(acc))
-        return w[t]
+    # coefficient of eps**j in (1+u); rel(0) == 1 by construction
+    rel = recurrence(lambda j, _: scalar_div(x[m + j], a, budget), 1)
+    top = None if x.finite_support is None else x.finite_support - m
+    w_at = recurrence(
+        lambda t, w: scalar_neg(recurrence_sum(rel, w.__getitem__, t, top)), 1)
 
     fs = None
     if x.finite_support is not None and x.finite_support <= m:
