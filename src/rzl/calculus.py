@@ -12,6 +12,7 @@ of nonstandard parts.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -163,7 +164,7 @@ def transcendental(kind: str, x: RzlNumber, depth: int = DEFAULT_DEPTH,
         raise DomainError("series functions need an exact rational standard part")
     s = Fraction(s)
     top = x.finite_support
-    weight = recurrence(lambda j, _: scalar_mul(j, x[j]), 0)   # j*d_j
+    weight = functools.cache(lambda j: scalar_mul(j, x[j]))   # j*d_j
 
     def weighted(k, seq, pick):
         """sum(j*d_j*seq[k-j][pick], j = 1..k), stopping at the support of d."""

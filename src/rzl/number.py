@@ -15,11 +15,11 @@ explicit, depth-bounded normalizer is `leading_index`.
 
 from __future__ import annotations
 
+import functools
 from enum import Enum
 from fractions import Fraction
 
 from .scalar import (
-    EXACT_TYPES,
     PRECISION_BUDGET,
     is_rational_scalar,
     scalar_add,
@@ -128,7 +128,7 @@ class RzlNumber:
                 b = other[k - i]
                 if scalar_is_zero(b):
                     continue
-                acc = _mul_add(acc, a, b)
+                acc = scalar_add(acc, scalar_mul(a, b))
             return acc
 
         return RzlNumber(low, conv, fs)
@@ -285,21 +285,19 @@ def recurrence(step, first):
 
 def recurrence_sum(c, seq, k: int, top: int | None = None):
     """sum(c(j) * seq(k - j), j = 1 .. k), stopping at j = top: the inner
-    sum of a convolution recurrence.  Exact zeros of c are skipped, so seq
-    is read only where it contributes."""
+    sum of a convolution recurrence.  Terms with an exact zero factor are
+    skipped, as in the Cauchy product: a computable real times an exact 0
+    is a computable-real zero that can never be shown to be zero."""
     acc = 0
     for j in range(1, k + 1 if top is None else min(k, top) + 1):
         a = c(j)
-        if not scalar_is_zero(a):
-            acc = _mul_add(acc, a, seq(k - j))
+        if scalar_is_zero(a):
+            continue
+        b = seq(k - j)
+        if scalar_is_zero(b):
+            continue
+        acc = scalar_add(acc, scalar_mul(a, b))
     return acc
-
-
-def _mul_add(acc, a, b):
-    """acc + a*b, in plain rational arithmetic when all three are exact."""
-    if type(a) in EXACT_TYPES and type(b) in EXACT_TYPES and type(acc) in EXACT_TYPES:
-        return acc + a * b
-    return scalar_add(acc, scalar_mul(a, b))
 
 
 def leading_index(x: RzlNumber, depth: int = DEFAULT_DEPTH,
@@ -344,8 +342,8 @@ def inverse(x: RzlNumber, depth: int = DEFAULT_DEPTH,
     a = x[m]
     inv_a = scalar_div(1, a, budget)
 
-    # coefficient of eps**j in (1+u); rel(0) == 1 by construction
-    rel = recurrence(lambda j, _: scalar_div(x[m + j], a, budget), 1)
+    # coefficient of eps**j in (1+u), for j >= 1
+    rel = functools.cache(lambda j: scalar_div(x[m + j], a, budget))
     top = None if x.finite_support is None else x.finite_support - m
     w_at = recurrence(
         lambda t, w: scalar_neg(recurrence_sum(rel, w.__getitem__, t, top)), 1)

@@ -213,12 +213,9 @@ def creal_arith(op: str, a: CompReal, b: CompReal | None = None) -> CompReal:
 # rational pairs stay exact, anything touching a CompReal is promoted.
 # ---------------------------------------------------------------------------
 
-#: The exact scalar types the package itself produces; checked by identity
-#: before the slower `numbers.Rational` ABC check.
-EXACT_TYPES = (int, Fraction)
-
-
 def is_rational_scalar(x) -> bool:
+    # int and Fraction, the types the package itself produces, are checked
+    # by identity before the slower `numbers.Rational` ABC check.
     t = type(x)
     return t is int or t is Fraction or isinstance(x, numbers.Rational)
 
@@ -284,9 +281,6 @@ def scalar_sign(x, budget: int = PRECISION_BUDGET):
 
 def scalar_is_zero(x) -> bool:
     """True only when provably zero (exact rational zero)."""
-    t = type(x)
-    if t is int or t is Fraction:
-        return x == 0
     return is_rational_scalar(x) and x == 0
 
 

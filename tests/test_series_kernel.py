@@ -17,6 +17,7 @@ from rzl.number import (
     from_coefficients,
     from_rational,
     inverse,
+    leading_index,
     one,
     part,
 )
@@ -160,6 +161,21 @@ def test_tagged_constants_pass_through():
     assert transcendental("cos", x)[1].tag == "neg:series:sin(1)"
     assert transcendental("exp", x)[0].tag == "series:exp(1)"
     assert transcendental("sin", from_rational(F(1, 3)))[1] == 0
+
+
+def test_exact_zeros_stay_exact_with_a_computable_real_displacement():
+    # d = sin(1)*eps: S_0 = 0 is an exact zero, so C_1 = -d_1*S_0 must stay
+    # an exact 0 rather than a computable-real zero that is never decided
+    sin1 = creal_elementary("sin", F(1))
+    d = from_coefficients(0, [0, sin1])
+    cos, sin = transcendental("cos", d), transcendental("sin", d)
+    for k in (1, 3, 5):
+        assert is_rational_scalar(cos[k]) and cos[k] == 0, k
+    for k in (0, 2, 4):
+        assert is_rational_scalar(sin[k]) and sin[k] == 0, k
+    li = leading_index(cos - 1)
+    assert li.is_certified and li.witness == 2
+    assert inverse(cos - 1).low == -2
 
 
 def test_taylor_coefficients_against_sympy():
