@@ -19,7 +19,6 @@ from fractions import Fraction
 from . import expr as E
 from .number import (
     DEFAULT_DEPTH,
-    PartSelector,
     RzlNumber,
     as_number,
     divide,
@@ -36,7 +35,6 @@ from .scalar import (
     creal_elementary,
     is_rational_scalar,
     scalar_add,
-    scalar_div,
     scalar_eq,
     scalar_is_zero,
     scalar_mul,
@@ -197,11 +195,8 @@ def transcendental(kind: str, x: RzlNumber, depth: int = DEFAULT_DEPTH,
 
 def _times(const, c):
     """const*c for a constant of the addition formulas.  Keeps provenance
-    tags for `scalar_eq`: an exact zero on either side gives 0 (never a
-    computable-real zero), c = 1 gives const itself and c = -1 its
+    tags for `scalar_eq`: c = 1 gives const itself and c = -1 its
     negation."""
-    if scalar_is_zero(const) or scalar_is_zero(c):
-        return 0
     if is_rational_scalar(c) and c == -1:
         return scalar_neg(const)
     return scalar_mul(const, c)
@@ -222,67 +217,12 @@ def der(f: E.Expr, x: RzlNumber, depth: int = DEFAULT_DEPTH,
     return divide(num, d, depth, budget).trim_low()
 
 
-def classical_derivative(f: E.Expr) -> E.Expr:
-    return E.classical_derivative(f)
-
-
 def eval_scalar(f: E.Expr, s, budget: int = PRECISION_BUDGET):
-    """Evaluate an expression at a scalar (real) point.
-
-    Division requires a certified nonzero denominator; series functions
-    require an exact rational argument.
-    """
-    def go(t):
-        if isinstance(t, E.Var):
-            return s
-        if isinstance(t, E.Const):
-            return t.value
-        if isinstance(t, (E.EpsilonLit, E.OmegaLit)):
-            raise DomainError("unit literals have no scalar value")
-        if isinstance(t, E.Add):
-            return scalar_add(go(t.left), go(t.right))
-        if isinstance(t, E.Sub):
-            return scalar_add(go(t.left), scalar_neg(go(t.right)))
-        if isinstance(t, E.Mul):
-            return scalar_mul(go(t.left), go(t.right))
-        if isinstance(t, E.Div):
-            return scalar_div(go(t.left), go(t.right), budget)
-        if isinstance(t, E.PowInt):
-            acc = 1
-            base = go(t.base)
-            for _ in range(t.exponent):
-                acc = scalar_mul(acc, base)
-            return acc
-        if isinstance(t, (E.Sin, E.Cos, E.Exp)):
-            v = go(t.arg)
-            if not is_rational_scalar(v):
-                raise DomainError("series functions need an exact rational argument")
-            kind = type(t).__name__.lower()
-            if v == 0:
-                return {"sin": 0, "cos": 1, "exp": 1}[kind]
-            return creal_elementary(kind, Fraction(v))
-        if isinstance(t, E.Sign):
-            sv = scalar_sign(go(t.arg), budget)
-            if sv is None:
-                raise UndecidedError("undecided at depth: sign of scalar")
-            return sv
-        if isinstance(t, E.Abs):
-            v = go(t.arg)
-            if is_rational_scalar(v):
-                return abs(v)
-            sv = scalar_sign(v, budget)
-            if sv is None:
-                raise UndecidedError("undecided at depth: scalar absolute value")
-            return v if sv > 0 else scalar_neg(v)
-        if isinstance(t, E.Part):
-            v = go(t.arg)
-            return v if t.selector in (PartSelector.ST, PartSelector.NI_EPSILON,
-                                       PartSelector.NI_OMEGA) else 0
-        if isinstance(t, E.PiecewiseSt):
-            taken = _compare_scalar(go(t.subject), t.op, t.bound, budget)
-            return go(t.then_branch if taken else t.else_branch)
-        raise TypeError(f"unknown node {t!r}")
-    return go(f)
+    """Evaluate an expression at a scalar (real) point: the standard part
+    of its value at the constant stream s."""
+    if E.contains(f, (E.EpsilonLit, E.OmegaLit)):
+        raise DomainError("unit literals have no scalar value")
+    return evaluate(f, from_scalar(s), budget=budget)[0]
 
 
 # -- the derivative comparison set ----------------------------------------------------
@@ -292,32 +232,65 @@ def _resolve_piecewise(f: E.Expr, x: RzlNumber, budget: int):
 
     Returns (tree, boundary_hit): boundary_hit is set when some subject's
     standard part lands exactly on its bound, where the pieces meet and the
-    classical derivative is not defined.
+    classical derivative is not defined.  A tree without branch nodes comes
+    back as itself.
     """
+    if not E.contains(f, E.PiecewiseSt):
+        return f, False
     boundary = False
 
     def go(t):
         nonlocal boundary
-        if isinstance(t, (E.Var, E.Const, E.EpsilonLit, E.OmegaLit)):
-            return t
-        if isinstance(t, (E.Add, E.Sub, E.Mul, E.Div)):
-            return type(t)(go(t.left), go(t.right))
-        if isinstance(t, E.PowInt):
-            return E.PowInt(go(t.base), t.exponent)
-        if isinstance(t, (E.Sin, E.Cos, E.Exp, E.Sign, E.Abs)):
-            return type(t)(go(t.arg))
-        if isinstance(t, E.Part):
-            return E.Part(t.selector, go(t.arg))
-        if isinstance(t, E.PiecewiseSt):
-            st = evaluate(t.subject, x, budget=budget)[0]
-            gap = st - Fraction(t.bound) if is_rational_scalar(st) else None
-            if gap is not None and gap == 0:
-                boundary = True
-            taken = _compare_scalar(st, t.op, t.bound, budget)
-            return go(t.then_branch if taken else t.else_branch)
-        raise TypeError(f"unknown node {t!r}")
+        if not isinstance(t, E.PiecewiseSt):
+            return t.rebuild(go)
+        st = evaluate(t.subject, x, budget=budget)[0]
+        if is_rational_scalar(st) and st == Fraction(t.bound):
+            boundary = True
+        taken = _compare_scalar(st, t.op, t.bound, budget)
+        return go(t.then_branch if taken else t.else_branch)
 
     return go(f), boundary
+
+
+def _compare_derivatives(f: E.Expr, x: RzlNumber, depth: int, budget: int,
+                         quotient: RzlNumber | None = None):
+    """The comparison behind `in_E` and `permeate`, done once: returns the
+    membership verdict and the classical derivative's value at St(x) (None
+    when it has none).
+
+    Branch nodes are resolved once.  `quotient` is der(f, x) when the
+    caller already holds it; it is reused when resolution left f as it was.
+    The sign convention applies throughout, which changes nothing on a
+    tree without a sign node.
+    """
+    try:
+        tree, boundary = _resolve_piecewise(f, x, budget)
+    except (UndecidedError, DomainError, ZeroDivisionError) as exc:
+        return unknown(depth, reason=f"quotient not evaluable: {exc}"), None
+    if boundary:
+        return refuted(depth, reason="classical derivative undefined "
+                                     "at branch boundary"), None
+    try:
+        g = E.classical_derivative(tree, sign_convention=True)
+        cls = eval_scalar(g, x[0], budget)
+    except (UndecidedError, DomainError, ZeroDivisionError) as exc:
+        cls, no_reference = None, exc
+    try:
+        if quotient is None or tree is not f:
+            quotient = der(tree, x, depth, budget)
+        st_d = quotient[0]
+    except (UndecidedError, DomainError, ZeroDivisionError) as exc:
+        return unknown(depth, reason=f"quotient not evaluable: {exc}"), cls
+    if cls is None:
+        return unknown(depth, reason=f"no classical reference: {no_reference}"), None
+    eq = scalar_eq(st_d, cls, budget)
+    if eq is True:
+        reason = "sign-convention derivative" if E.contains(tree, E.Sign) else None
+        return certified(depth, witness=("st", st_d, "classical", cls),
+                         reason=reason), cls
+    if eq is False:
+        return refuted(depth, witness=("st", st_d, "classical", cls)), cls
+    return unknown(depth, reason="standard-part comparison undecided"), cls
 
 
 def in_E(f: E.Expr, x: RzlNumber, depth: int = DEFAULT_DEPTH,
@@ -330,32 +303,7 @@ def in_E(f: E.Expr, x: RzlNumber, depth: int = DEFAULT_DEPTH,
     sign node uses the flat-graph convention (derivative zero everywhere)
     and the verdict says so.
     """
-    x = as_number(x)
-    tree = f
-    try:
-        if E.contains(f, E.PiecewiseSt):
-            tree, boundary = _resolve_piecewise(f, x, budget)
-            if boundary:
-                return refuted(depth, reason="classical derivative undefined "
-                                             "at branch boundary")
-        convention = E.contains(tree, E.Sign)
-        d = der(tree, x, depth, budget)
-        st_d = d[0]
-    except (UndecidedError, DomainError, ZeroDivisionError) as exc:
-        return unknown(depth, reason=f"quotient not evaluable: {exc}")
-    try:
-        g = E.classical_derivative(tree, sign_convention=convention)
-        cls = eval_scalar(g, x[0], budget)
-    except (UndecidedError, DomainError, ZeroDivisionError) as exc:
-        return unknown(depth, reason=f"no classical reference: {exc}")
-    eq = scalar_eq(st_d, cls, budget)
-    reason = "sign-convention derivative" if convention else None
-    if eq is True:
-        return certified(depth, witness=("st", st_d, "classical", cls),
-                         reason=reason)
-    if eq is False:
-        return refuted(depth, witness=("st", st_d, "classical", cls))
-    return unknown(depth, reason="standard-part comparison undecided")
+    return _compare_derivatives(f, as_number(x), depth, budget)[0]
 
 
 def is_microstable(f: E.Expr, sample_points, depth: int = DEFAULT_DEPTH,
@@ -424,19 +372,7 @@ def permeate(f: E.Expr, x: RzlNumber, depth: int = DEFAULT_DEPTH,
     x = as_number(x)
     d = der(f, x, depth, budget)
     st = d[0]
-    verdict = in_E(f, x, depth, budget)
-    classical = None
-    try:
-        tree = f
-        if E.contains(f, E.PiecewiseSt):
-            tree, boundary = _resolve_piecewise(f, x, budget)
-            if boundary:
-                tree = None
-        if tree is not None:
-            g = E.classical_derivative(tree, sign_convention=True)
-            classical = eval_scalar(g, x[0], budget)
-    except (DomainError, ZeroDivisionError, UndecidedError):
-        classical = None
+    verdict, classical = _compare_derivatives(f, x, depth, budget, quotient=d)
     nst_zero = _nonstandard_certified_zero(x, budget)
     if verdict.is_certified and nst_zero is True:
         return DerivativeReport(d, st, classical, verdict, permeated=st)

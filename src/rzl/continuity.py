@@ -16,6 +16,7 @@ Anything else is answered Unknown, with budgets recorded.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -154,10 +155,12 @@ def _displacements(radius: RzlNumber, order_floor: int, budget: GridBudget,
     return out
 
 
-def _violates(f: E.Expr, c: RzlNumber, x: RzlNumber, tolerance: RzlNumber,
+def _violates(f: E.Expr, fc, x: RzlNumber, tolerance: RzlNumber,
               depth: int, precision: int) -> bool:
+    """Is f(x) - f(c) provably outside the tolerance?  `fc()` gives f(c);
+    the caller memoizes it, so one query evaluates f(c) once."""
     try:
-        gap = evaluate(f, x, depth, precision) - evaluate(f, c, depth, precision)
+        gap = evaluate(f, x, depth, precision) - fc()
     except UndecidedError:
         return False
     return within_radius(gap, tolerance, depth, precision).is_refuted
@@ -165,6 +168,7 @@ def _violates(f: E.Expr, c: RzlNumber, x: RzlNumber, tolerance: RzlNumber,
 
 def _refute_kn(f: E.Expr, c: RzlNumber, k: int, n: int, budget: GridBudget,
                depth: int, precision: int) -> Verdict | None:
+    fc = functools.cache(lambda: evaluate(f, c, depth, precision))
     for a1 in budget.coefficients[:2]:
         e1 = monomial(a1, k)
         rounds = []
@@ -172,7 +176,7 @@ def _refute_kn(f: E.Expr, c: RzlNumber, k: int, n: int, budget: GridBudget,
             e2 = monomial(a2, n)
             hit = None
             for d in _displacements(e2, n, budget, depth, precision):
-                if _violates(f, c, c + d, e1, depth, precision):
+                if _violates(f, fc, c + d, e1, depth, precision):
                     hit = d
                     break
             if hit is None:
@@ -232,6 +236,7 @@ def check_ed_class(f: E.Expr, point: RzlNumber, depth: int = DEFAULT_DEPTH,
                 "modulus": f"m(n) = {bound}*n"},
                 reason="computed modulus of continuity")
     # refutation: a tolerance 1/n violated inside every rational radius 1/m
+    fc = functools.cache(lambda: evaluate(f, c, depth, precision))
     for n_tol in (1, 2, 4):
         tol = from_rational(Fraction(1, n_tol))
         rounds = []
@@ -240,7 +245,7 @@ def check_ed_class(f: E.Expr, point: RzlNumber, depth: int = DEFAULT_DEPTH,
             for q_c in budget.coefficients:
                 for sgn in (1, -1):
                     d = from_rational(sgn * q_c * _HALF * Fraction(1, m))
-                    if _violates(f, c, c + d, tol, depth, precision):
+                    if _violates(f, fc, c + d, tol, depth, precision):
                         hit = d
                         break
                 if hit is not None:
@@ -267,6 +272,7 @@ def check_ed(f: E.Expr, point: RzlNumber, depth: int = DEFAULT_DEPTH,
     if cert is not None:
         return cert
     # refutation: some stream tolerance violated inside every budgeted radius
+    fc = functools.cache(lambda: evaluate(f, c, depth, precision))
     for k_tol in range(0, 3):
         for a1 in budget.coefficients[:2]:
             e1 = monomial(a1, k_tol)
@@ -276,7 +282,7 @@ def check_ed(f: E.Expr, point: RzlNumber, depth: int = DEFAULT_DEPTH,
                     e2 = monomial(a2, j)
                     hit = None
                     for d in _displacements(e2, j, budget, depth, precision):
-                        if _violates(f, c, c + d, e1, depth, precision):
+                        if _violates(f, fc, c + d, e1, depth, precision):
                             hit = d
                             break
                     if hit is None:

@@ -9,7 +9,8 @@ the continuity checkers use to certify moduli, and text echo.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .number import PartSelector
@@ -20,6 +21,21 @@ _OPS = ("<=", "<", "=", ">", ">=")
 
 class Expr:
     __slots__ = ()
+
+    def children(self) -> tuple:
+        """The direct subtrees, in field order."""
+        return tuple(getattr(self, name) for name in _subtree_fields(type(self)))
+
+    def rebuild(self, fn) -> "Expr":
+        """A copy with `fn` applied to every direct subtree; a leaf comes
+        back unchanged."""
+        names = _subtree_fields(type(self))
+        if not names:
+            return self
+        values = dict(vars(self))
+        for name in names:
+            values[name] = fn(values[name])
+        return type(self)(**values)
 
     def __add__(self, other):
         return Add(self, _as_expr(other))
@@ -50,6 +66,13 @@ class Expr:
 
     def __neg__(self):
         return Sub(Const(0), self)
+
+
+@functools.cache
+def _subtree_fields(cls) -> tuple:
+    """Names of the fields of a node class annotated `Expr`: its subtrees,
+    in order."""
+    return tuple(f.name for f in fields(cls) if f.type == "Expr")
 
 
 def _as_expr(x) -> Expr:
@@ -179,43 +202,13 @@ def substitute(tree: Expr, replacement: Expr, name: str = "x") -> Expr:
     def go(t):
         if isinstance(t, Var):
             return replacement if t.name == name else t
-        if isinstance(t, (Const, EpsilonLit, OmegaLit)):
-            return t
-        if isinstance(t, (Add, Sub, Mul, Div)):
-            return type(t)(go(t.left), go(t.right))
-        if isinstance(t, PowInt):
-            return PowInt(go(t.base), t.exponent)
-        if isinstance(t, PowSym):
-            return PowSym(go(t.base), go(t.exponent))
-        if isinstance(t, (Sin, Cos, Exp, Sign, Abs)):
-            return type(t)(go(t.arg))
-        if isinstance(t, Part):
-            return Part(t.selector, go(t.arg))
-        if isinstance(t, PiecewiseSt):
-            return PiecewiseSt(t.op, t.bound, go(t.then_branch),
-                               go(t.else_branch), go(t.subject))
-        raise TypeError(f"unknown node {t!r}")
+        return t.rebuild(go)
     return go(tree)
 
 
 def contains(tree: Expr, node_types) -> bool:
-    if isinstance(tree, node_types):
-        return True
-    if isinstance(tree, (Add, Sub, Mul, Div)):
-        return contains(tree.left, node_types) or contains(tree.right, node_types)
-    if isinstance(tree, PowInt):
-        return contains(tree.base, node_types)
-    if isinstance(tree, PowSym):
-        return contains(tree.base, node_types) or contains(tree.exponent, node_types)
-    if isinstance(tree, (Sin, Cos, Exp, Sign, Abs)):
-        return contains(tree.arg, node_types)
-    if isinstance(tree, Part):
-        return contains(tree.arg, node_types)
-    if isinstance(tree, PiecewiseSt):
-        return (contains(tree.subject, node_types)
-                or contains(tree.then_branch, node_types)
-                or contains(tree.else_branch, node_types))
-    return False
+    return isinstance(tree, node_types) or any(
+        contains(child, node_types) for child in tree.children())
 
 
 # -- classical symbolic derivative ------------------------------------------------
@@ -324,19 +317,6 @@ def _poly_trim(a):
     return [Fraction(c) for c in a]
 
 
-def poly_eval(coeffs, s):
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * s + c
-    return acc
-
-
-def poly_derivative(coeffs):
-    if len(coeffs) <= 1:
-        return [Fraction(0)]
-    return [k * coeffs[k] for k in range(1, len(coeffs))]
-
-
 def poly_local_lipschitz(coeffs, center: Fraction) -> Fraction:
     """Rational L with |p(x) - p(c)| <= L|x - c| whenever |x - c| <= 1 and
     the point has no infinite part.
@@ -358,6 +338,16 @@ def poly_local_lipschitz(coeffs, center: Fraction) -> Fraction:
 # -- text echo ---------------------------------------------------------------------
 
 _GROSSONE = "①"
+
+# The surface syntax has no functions for the non-infinitesimal and
+# non-infinite parts; they echo as the sums that define them.
+_PART_TEXT = {
+    PartSelector.ST: "St({0})",
+    PartSelector.NST_EPSILON: "NstE({0})",
+    PartSelector.NST_OMEGA: "NstW({0})",
+    PartSelector.NI_EPSILON: "(NstW({0}) + St({0}))",
+    PartSelector.NI_OMEGA: "(St({0}) + NstE({0}))",
+}
 
 
 def to_text(f: Expr, grossone: bool = False) -> str:
@@ -391,9 +381,7 @@ def to_text(f: Expr, grossone: bool = False) -> str:
             fname = type(t).__name__.lower()
             return f"{fname}({go(t.arg)})"
         if isinstance(t, Part):
-            fname = {PartSelector.ST: "St", PartSelector.NST_EPSILON: "NstE",
-                     PartSelector.NST_OMEGA: "NstW"}[t.selector]
-            return f"{fname}({go(t.arg)})"
+            return _PART_TEXT[t.selector].format(go(t.arg))
         if isinstance(t, PiecewiseSt):
             return (f"piecewise(St({go(t.subject)}) {t.op} {t.bound}, "
                     f"{go(t.then_branch)}, {go(t.else_branch)})")

@@ -286,8 +286,8 @@ def recurrence(step, first):
 def recurrence_sum(c, seq, k: int, top: int | None = None):
     """sum(c(j) * seq(k - j), j = 1 .. k), stopping at j = top: the inner
     sum of a convolution recurrence.  Terms with an exact zero factor are
-    skipped, as in the Cauchy product: a computable real times an exact 0
-    is a computable-real zero that can never be shown to be zero."""
+    skipped, as in the Cauchy product, so a zero weight never forces the
+    coefficient it would multiply."""
     acc = 0
     for j in range(1, k + 1 if top is None else min(k, top) + 1):
         a = c(j)

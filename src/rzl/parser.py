@@ -30,6 +30,10 @@ from .number import PartSelector, RzlNumber, from_coefficients
 
 _GROSSONE = "①"
 
+# Deepest nesting of parentheses, function calls and unary minus signs
+# accepted; deeper input is refused before it can exhaust the stack.
+_MAX_NESTING = 100
+
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|"
                     rf"([+\-*/^()])|({_GROSSONE}))")
 
@@ -99,6 +103,7 @@ class _Parser:
     def __init__(self, text: str, variable: str):
         self.toks = _Tokens(text)
         self.variable = variable
+        self.nesting = -1   # the outermost expression is level 0
 
     def parse(self) -> E.Expr:
         node = self.expr()
@@ -107,7 +112,14 @@ class _Parser:
             raise ParseError(f"unexpected trailing input {val!r}", pos)
         return node
 
+    def _nest(self, by: int):
+        self.nesting += by
+        if self.nesting > _MAX_NESTING:
+            raise ParseError(f"nesting deeper than {_MAX_NESTING} levels",
+                             self.toks.peek()[2])
+
     def expr(self) -> E.Expr:
+        self._nest(1)
         node = self.term()
         while True:
             kind, val, _ = self.toks.peek()
@@ -116,6 +128,7 @@ class _Parser:
                 rhs = self.term()
                 node = E.Add(node, rhs) if val == "+" else E.Sub(node, rhs)
             else:
+                self._nest(-1)
                 return node
 
     def term(self) -> E.Expr:
@@ -145,7 +158,9 @@ class _Parser:
         kind, val, _ = self.toks.peek()
         if kind == "op" and val == "-":
             self.toks.next()
+            self._nest(1)
             inner = self.unary()
+            self._nest(-1)
             if isinstance(inner, E.Const):
                 return E.Const(-Fraction(inner.value))
             return E.Sub(E.Const(0), inner)
@@ -228,21 +243,12 @@ def parse_sequence(text: str):
 def _resolve_pow(tree: E.Expr) -> E.Expr:
     """Turn symbolic powers into integer powers once n is substituted."""
     from .calculus import eval_scalar
-    if isinstance(tree, (E.Add, E.Sub, E.Mul, E.Div)):
-        return type(tree)(_resolve_pow(tree.left), _resolve_pow(tree.right))
-    if isinstance(tree, E.PowInt):
-        return E.PowInt(_resolve_pow(tree.base), tree.exponent)
-    if isinstance(tree, E.PowSym):
-        val = eval_scalar(_resolve_pow(tree.exponent), 0)
-        frac = Fraction(val)
-        if frac.denominator != 1 or frac < 0:
-            raise ValueError("exponent must resolve to a nonnegative integer")
-        return E.PowInt(_resolve_pow(tree.base), int(frac))
-    if isinstance(tree, (E.Sin, E.Cos, E.Exp, E.Sign, E.Abs)):
-        return type(tree)(_resolve_pow(tree.arg))
-    if isinstance(tree, E.Part):
-        return E.Part(tree.selector, _resolve_pow(tree.arg))
-    return tree
+    if not isinstance(tree, E.PowSym):
+        return tree.rebuild(_resolve_pow)
+    frac = Fraction(eval_scalar(_resolve_pow(tree.exponent), 0))
+    if frac.denominator != 1 or frac < 0:
+        raise ValueError("exponent must resolve to a nonnegative integer")
+    return E.PowInt(_resolve_pow(tree.base), int(frac))
 
 
 def parse_rendered(text: str) -> RzlNumber:

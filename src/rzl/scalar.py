@@ -196,18 +196,6 @@ def creal_from_rational(q) -> CompReal:
     return CompReal.from_rational(q)
 
 
-def creal_arith(op: str, a: CompReal, b: CompReal | None = None) -> CompReal:
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "neg":
-        return -a
-    raise ValueError(f"unknown operation {op!r}")
-
-
 # ---------------------------------------------------------------------------
 # Mixed-scalar helpers.  A "scalar" is an exact rational or a CompReal;
 # rational pairs stay exact, anything touching a CompReal is promoted.
@@ -242,10 +230,14 @@ def scalar_neg(a):
 
 
 def scalar_mul(a, b):
-    if is_rational_scalar(a) and is_rational_scalar(b):
-        return a * b
+    """Product; an exact zero factor gives the exact 0, never a
+    computable-real zero whose sign could not be decided."""
     if is_rational_scalar(a):
-        return _promote(b) * a
+        if is_rational_scalar(b):
+            return a * b
+        return 0 if a == 0 else _promote(b) * a
+    if is_rational_scalar(b) and b == 0:
+        return 0
     return _promote(a) * b
 
 

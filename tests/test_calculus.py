@@ -249,3 +249,32 @@ def test_permeate_depends_on_in_E():
     # at 0 the absolute value itself is undecidable: evaluation refuses
     with pytest.raises(UndecidedError):
         permeate(E.Abs(X), zero())
+
+
+def test_eval_scalar_refuses_unit_literals():
+    for unit in (E.EpsilonLit(), E.OmegaLit()):
+        with pytest.raises(DomainError, match="unit literals"):
+            eval_scalar(X + unit, 1)
+    assert eval_scalar(E.Part(PartSelector.NST_EPSILON, X) + X, F(1, 2)) == F(1, 2)
+
+
+def test_permeate_computes_the_derivative_once(monkeypatch):
+    import rzl.calculus as C
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(tree, *args, **kwargs):
+            calls.append((name, tree))
+            return fn(tree, *args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(C, "evaluate", counted("evaluate", C.evaluate))
+    monkeypatch.setattr(C, "der", counted("der", C.der))
+    monkeypatch.setattr(E, "classical_derivative",
+                        counted("classical", E.classical_derivative))
+    f = X ** 2 + 2 * X + 3
+    r = permeate(f, one())
+    assert r.permeated == 4 and r.classical_value == 4
+    assert sum(1 for name, t in calls if name == "evaluate" and t is f) == 2
+    assert [name for name, _ in calls].count("der") == 1
+    assert [name for name, _ in calls].count("classical") == 1

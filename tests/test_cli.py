@@ -124,6 +124,13 @@ def test_parse_error_exit(capsys):
     assert code == 1 and "unknown identifier" in err
 
 
+def test_deep_nesting_exit(capsys):
+    code, out, _ = run(capsys, "eval", "(" * 100 + "eps" + ")" * 100)
+    assert code == 0 and out.strip() == "^0, 1, 0, 0, 0, 0, 0, ..."
+    code, _, err = run(capsys, "eval", "(" * 1500 + "eps" + ")" * 1500)
+    assert code == 1 and "nesting deeper than 100" in err
+
+
 def test_repl(capsys, monkeypatch):
     lines = iter(["eps*w+1", "nonsense$", ":q"])
     monkeypatch.setattr("builtins.input", lambda prompt="": next(lines))

@@ -8,6 +8,7 @@ import pytest
 from rzl import expr as E
 from rzl.calculus import evaluate
 from rzl.number import (
+    PartSelector,
     RzlNumber,
     eq_up_to,
     epsilon,
@@ -143,3 +144,22 @@ def test_sequence_parsing():
     assert shifted(2)[3] == 1
     with pytest.raises(ParseError, match="unknown identifier"):
         parse_sequence("eps^n + x")
+
+
+@pytest.mark.parametrize("selector", list(PartSelector), ids=lambda s: s.value)
+def test_part_text_parses_back(selector):
+    # the non-infinitesimal and non-infinite parts echo as the sums that
+    # define them; the product checks their grouping
+    tree = E.Part(selector, E.X) * 3
+    point = omega() + 2 + epsilon()
+    back = evaluate(parse(E.to_text(tree)), point)
+    assert eq_up_to(back, evaluate(tree, point), -2, 4)
+
+
+def test_nesting_limit():
+    assert parse("(" * 100 + "x" + ")" * 100) == E.X
+    assert parse("-" * 100 + "1") == E.Const(1)
+    for deep in ("(" * 1500 + "x" + ")" * 1500, "-" * 1500 + "1",
+                 "sin(" * 101 + "x" + ")" * 101):
+        with pytest.raises(ParseError, match="nesting deeper than 100"):
+            parse(deep)

@@ -34,14 +34,11 @@ def bracket_contains(c: CompReal, n: int, value: F) -> bool:
 
 
 def test_creal_arith_dispatch():
-    from rzl.scalar import creal_arith
     a, b = creal_from_rational(F(1, 2)), creal_from_rational(F(1, 3))
-    assert bracket_contains(creal_arith("add", a, b), 60, F(5, 6))
-    assert bracket_contains(creal_arith("sub", a, b), 60, F(1, 6))
-    assert bracket_contains(creal_arith("mul", a, b), 60, F(1, 6))
-    assert bracket_contains(creal_arith("neg", a), 60, F(-1, 2))
-    with pytest.raises(ValueError):
-        creal_arith("pow", a, b)
+    assert bracket_contains(a + b, 60, F(5, 6))
+    assert bracket_contains(a - b, 60, F(1, 6))
+    assert bracket_contains(a * b, 60, F(1, 6))
+    assert bracket_contains(-a, 60, F(-1, 2))
 
 
 def test_rational_arithmetic_identities():
@@ -166,3 +163,9 @@ def test_creal_reciprocal():
     r = c.reciprocal(lo)
     val = r.approx(10 ** 6)
     assert abs(float(val) - 1 / math.e) < 1e-5
+
+
+def test_exact_zero_factor_stays_exact():
+    c = creal_elementary("sin", 1)
+    for z in (scalar_mul(0, c), scalar_mul(c, 0), scalar_div(0, c)):
+        assert type(z) is int and scalar_sign(z) == 0
