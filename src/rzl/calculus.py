@@ -20,6 +20,7 @@ from . import expr as E
 from .number import (
     DEFAULT_DEPTH,
     RzlNumber,
+    _exact_zeros,
     as_number,
     divide,
     epsilon,
@@ -36,7 +37,6 @@ from .scalar import (
     is_rational_scalar,
     scalar_add,
     scalar_eq,
-    scalar_is_zero,
     scalar_mul,
     scalar_neg,
     scalar_sign,
@@ -154,9 +154,8 @@ def transcendental(kind: str, x: RzlNumber, depth: int = DEFAULT_DEPTH,
     if kind not in ("sin", "cos", "exp"):
         raise ValueError(f"unknown series function {kind!r}")
     x = as_number(x)
-    for i in range(x.low, 0):
-        if not scalar_is_zero(x[i]):
-            raise DomainError("series undefined for infinite argument")
+    if not _exact_zeros(x, -1):
+        raise DomainError("series undefined for infinite argument")
     s = x[0]
     if not is_rational_scalar(s):
         raise DomainError("series functions need an exact rational standard part")

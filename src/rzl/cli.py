@@ -4,8 +4,9 @@ Verbs: eval, der, permeate, continuity, converge, classify, inverse.
 Running with no verb starts a line-oriented read-eval-print loop on stdin.
 
 Exit status: 0 for values and certified verdicts, 2 for refuted, 3 for
-unknown, 1 for any error.  ``--format json`` emits one stable JSON object
-on stdout with exact fraction strings for coefficients.
+unknown, 1 for any error, usage errors included.  An expression that
+starts with a minus sign goes after ``--``.  ``--format json`` emits one
+stable JSON object on stdout with exact fraction strings for coefficients.
 """
 
 from __future__ import annotations
@@ -34,6 +35,26 @@ from .verdict import DomainError, UndecidedError, Verdict, VerdictState
 
 _EXIT = {VerdictState.CERTIFIED: 0, VerdictState.REFUTED: 2,
          VerdictState.UNKNOWN: 3}
+
+#: Errors reported as a message and exit status 1, by the verbs and the REPL.
+_ERRORS = (ParseError, UndecidedError, DomainError, ValueError,
+           ZeroDivisionError, RecursionError)
+
+_DASH_HINT = "an expression that starts with '-' goes after '--': rzl eval -- \"-eps+1\""
+
+
+def _message(exc: Exception) -> str:
+    # a long chain of operators recurses once per operand
+    return "input too deeply nested" if isinstance(exc, RecursionError) else str(exc)
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Usage errors exit 1 like every other error (2 means Refuted); the
+    verb parsers inherit this."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n({_DASH_HINT})\n")
 
 
 def _jsonable(obj):
@@ -106,9 +127,10 @@ def _common(sub):
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _ArgumentParser(
         prog="rzl",
-        description="exact arithmetic with infinitesimal and infinite parts")
+        description="exact arithmetic with infinitesimal and infinite parts",
+        epilog=_DASH_HINT)
     subs = ap.add_subparsers(dest="command")
 
     p = subs.add_parser("eval", help="evaluate an expression")
@@ -292,9 +314,8 @@ def _repl() -> int:
             value = node if isinstance(node, RzlNumber) \
                 else evaluate(node, zero())
             print(render(value))
-        except (ParseError, UndecidedError, DomainError, ValueError,
-                ZeroDivisionError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
+        except _ERRORS as exc:
+            print(f"error: {_message(exc)}", file=sys.stderr)
 
 
 def main(argv=None) -> int:
@@ -318,13 +339,12 @@ def main(argv=None) -> int:
         if args.command == "inverse":
             return _run_inverse(args)
         ap.error(f"unknown command {args.command!r}")
-    except (ParseError, UndecidedError, DomainError, ValueError,
-            ZeroDivisionError) as exc:
+    except _ERRORS as exc:
         fmt = getattr(args, "format", "text")
         if fmt == "json":
-            print(json.dumps({"command": args.command, "error": str(exc)}))
+            print(json.dumps({"command": args.command, "error": _message(exc)}))
         else:
-            print(f"error: {exc}", file=sys.stderr)
+            print(f"error: {_message(exc)}", file=sys.stderr)
         return 1
     return 0
 

@@ -25,6 +25,7 @@ from .calculus import evaluate
 from .number import (
     DEFAULT_DEPTH,
     RzlNumber,
+    _exact_zeros,
     as_number,
     from_rational,
     monomial,
@@ -86,15 +87,10 @@ def _branch_at(f: E.PiecewiseSt, c: RzlNumber, budget: int):
     return f.then_branch if taken else f.else_branch
 
 
-def _omega_free(c: RzlNumber) -> bool:
-    """Provably no infinite part (rational zeros on all negative indices)."""
-    return all(is_rational_scalar(c[i]) and c[i] == 0 for i in range(c.low, 0))
-
-
 def _lipschitz_at(coeffs, c: RzlNumber):
     # the local bound argument needs a finite point: degree >= 2 terms are
     # unbounded along the infinite unit, so an omega part voids the rule
-    if len(coeffs) > 2 and not _omega_free(c):
+    if len(coeffs) > 2 and not _exact_zeros(c, -1):
         return None
     st = c[0]
     if not is_rational_scalar(st):
@@ -102,42 +98,40 @@ def _lipschitz_at(coeffs, c: RzlNumber):
     return E.poly_local_lipschitz(coeffs, Fraction(st))
 
 
-def _certify_kn(f: E.Expr, c: RzlNumber, k: int, n: int, depth: int,
-                precision: int) -> Verdict | None:
+def _certify(f: E.Expr, c: RzlNumber, rules: dict, depth: int,
+             precision: int) -> Verdict | None:
+    """Certify f at c through the whitelist, or None.
+
+    `rules` maps a class -- "const", "poly", "piecewise" -- to a function
+    giving the (witness, reason) of its certificate: of nothing for a
+    constant, of the Lipschitz bound for a polynomial, and of the frozen
+    branch and its inner witness for a branch function.  A class left out
+    is not certifiable at the queried grade.
+    """
     cls = _classify(f)
-    if cls is None:
+    if cls is None or cls[0] not in rules:
         return None
-    kind = cls[0]
+    kind, data = cls
     if kind == "const":
-        return certified(depth, witness={"rule": "constant"},
-                         reason="constant functions meet every grade")
-    if kind == "poly":
-        if k > n:
-            return None
-        lip = _lipschitz_at(cls[1], c)
+        arg = ()
+    elif kind == "poly":
+        lip = _lipschitz_at(data, c)
         if lip is None:
             return None
-        return certified(depth, witness={
-            "rule": "poly-lipschitz", "L": str(lip),
-            "eps2": f"min(1, eps1/(2*max(L,1))) scaled into order {n}"},
-            reason="algebraic Lipschitz modulus on |x-c| <= 1")
-    if kind == "piecewise":
-        if n < 1:
-            return None   # only infinitesimal radii freeze the branch
-        if not isinstance(cls[1].subject, E.Var) and not _omega_free(c):
+        arg = (lip,)
+    else:
+        if not isinstance(data.subject, E.Var) and not _exact_zeros(c, -1):
             return None   # nonlinear subjects may amplify omega parts
         try:
-            branch = _branch_at(cls[1], c, precision)
+            branch = _branch_at(data, c, precision)
         except UndecidedError:
             return None
-        inner = _certify_kn(branch, c, k, n, depth, precision)
-        if inner is None or not inner.is_certified:
+        inner = _certify(branch, c, rules, depth, precision)
+        if inner is None:
             return None
-        return certified(depth, witness={
-            "rule": "branch-freeze", "branch": E.to_text(branch),
-            "inner": inner.witness},
-            reason="standard-part branch is constant on infinitesimal radii")
-    return None
+        arg = (branch, inner.witness)
+    witness, reason = rules[kind](*arg)
+    return certified(depth, witness=witness, reason=reason)
 
 
 def _displacements(radius: RzlNumber, order_floor: int, budget: GridBudget,
@@ -155,6 +149,19 @@ def _displacements(radius: RzlNumber, order_floor: int, budget: GridBudget,
     return out
 
 
+def _stream_tolerances(coefficients, orders):
+    """(label, a*eps^j) for every order j and coefficient a."""
+    return [(f"{a}*eps^{j}", monomial(a, j)) for j in orders for a in coefficients]
+
+
+def _stream_radii(budget: GridBudget, orders, depth: int, precision: int):
+    """(label, candidates) for the radii a*eps^j on the grid; `candidates()`
+    lists the grid displacements certified inside the radius."""
+    return [(f"{a}*eps^{j}",
+             lambda a=a, j=j: _displacements(monomial(a, j), j, budget, depth, precision))
+            for j in orders for a in budget.coefficients]
+
+
 def _violates(f: E.Expr, fc, x: RzlNumber, tolerance: RzlNumber,
               depth: int, precision: int) -> bool:
     """Is f(x) - f(c) provably outside the tolerance?  `fc()` gives f(c);
@@ -166,28 +173,32 @@ def _violates(f: E.Expr, fc, x: RzlNumber, tolerance: RzlNumber,
     return within_radius(gap, tolerance, depth, precision).is_refuted
 
 
-def _refute_kn(f: E.Expr, c: RzlNumber, k: int, n: int, budget: GridBudget,
-               depth: int, precision: int) -> Verdict | None:
+def _refute(f: E.Expr, c: RzlNumber, tolerances, radii, tolerance_key: str,
+            caveat: str, depth: int, precision: int) -> Verdict:
+    """Refuted with the first tolerance violated inside every radius, or
+    Unknown.
+
+    `tolerances` holds (label, tolerance) pairs and `radii` holds (label,
+    candidates) pairs, `candidates()` listing displacements inside that
+    radius; each list is built once per query, when first needed.  The
+    witness names the tolerance under `tolerance_key` and, per radius, its
+    label and the first displacement d with f(c + d) outside the tolerance.
+    """
     fc = functools.cache(lambda: evaluate(f, c, depth, precision))
-    for a1 in budget.coefficients[:2]:
-        e1 = monomial(a1, k)
+    radii = [(label, functools.cache(candidates)) for label, candidates in radii]
+    for tol_label, tol in tolerances:
         rounds = []
-        for a2 in budget.coefficients:
-            e2 = monomial(a2, n)
-            hit = None
-            for d in _displacements(e2, n, budget, depth, precision):
-                if _violates(f, fc, c + d, e1, depth, precision):
-                    hit = d
-                    break
+        for label, candidates in radii:
+            hit = next((d for d in candidates()
+                        if _violates(f, fc, c + d, tol, depth, precision)), None)
             if hit is None:
-                rounds = None
                 break
-            rounds.append((f"{a2}*eps^{n}", repr(hit)))
-        if rounds is not None:
-            return refuted(depth, witness={
-                "eps1": f"{a1}*eps^{k}", "violations": rounds},
-                caveat="radius family budgeted by the witness grid")
-    return None
+            rounds.append((label, repr(hit)))
+        else:
+            return refuted(depth, witness={tolerance_key: tol_label, "violations": rounds},
+                           caveat=caveat)
+    return unknown(depth, reason="outside the certifiable class and no grid "
+                                 "violation found")
 
 
 def check_kn_continuity(q: ContinuityQuery, depth: int = DEFAULT_DEPTH,
@@ -195,14 +206,24 @@ def check_kn_continuity(q: ContinuityQuery, depth: int = DEFAULT_DEPTH,
     """Graded continuity at a point: every tolerance of infinitesimal order
     k admits a neighbourhood radius of order n."""
     c = as_number(q.point)
-    cert = _certify_kn(q.f, c, q.k, q.n, depth, precision)
+    k, n, budget = q.k, q.n, q.witness_budget
+    rules = {"const": lambda: ({"rule": "constant"},
+                               "constant functions meet every grade")}
+    if k <= n:
+        rules["poly"] = lambda lip: (
+            {"rule": "poly-lipschitz", "L": str(lip),
+             "eps2": f"min(1, eps1/(2*max(L,1))) scaled into order {n}"},
+            "algebraic Lipschitz modulus on |x-c| <= 1")
+    if n >= 1:   # only infinitesimal radii freeze the branch
+        rules["piecewise"] = lambda branch, inner: (
+            {"rule": "branch-freeze", "branch": E.to_text(branch), "inner": inner},
+            "standard-part branch is constant on infinitesimal radii")
+    cert = _certify(q.f, c, rules, depth, precision)
     if cert is not None:
         return cert
-    ref = _refute_kn(q.f, c, q.k, q.n, q.witness_budget, depth, precision)
-    if ref is not None:
-        return ref
-    return unknown(depth, reason="outside the certifiable class and no grid "
-                                 "violation found")
+    return _refute(q.f, c, _stream_tolerances(budget.coefficients[:2], (k,)),
+                   _stream_radii(budget, (n,), depth, precision), "eps1",
+                   "radius family budgeted by the witness grid", depth, precision)
 
 
 def check_kn_grid(f: E.Expr, point: RzlNumber, kmax: int, nmax: int,
@@ -224,42 +245,23 @@ def check_ed_class(f: E.Expr, point: RzlNumber, depth: int = DEFAULT_DEPTH,
     """Continuity with tolerance 1/n and neighbourhood 1/m, both rational."""
     budget = budget or GridBudget()
     c = as_number(point)
-    cls = _classify(f)
-    if cls is not None and cls[0] == "const":
-        return certified(depth, witness={"rule": "constant"})
-    if cls is not None and cls[0] == "poly":
-        lip = _lipschitz_at(cls[1], c)
-        if lip is not None:
-            bound = max(1, -(-lip.numerator // lip.denominator))
-            return certified(depth, witness={
-                "rule": "poly-lipschitz", "L": str(lip),
-                "modulus": f"m(n) = {bound}*n"},
-                reason="computed modulus of continuity")
+
+    def modulus(lip):
+        bound = max(1, -(-lip.numerator // lip.denominator))
+        return ({"rule": "poly-lipschitz", "L": str(lip),
+                 "modulus": f"m(n) = {bound}*n"}, "computed modulus of continuity")
+
+    cert = _certify(f, c, {"const": lambda: ({"rule": "constant"}, None),
+                           "poly": modulus}, depth, precision)
+    if cert is not None:
+        return cert
     # refutation: a tolerance 1/n violated inside every rational radius 1/m
-    fc = functools.cache(lambda: evaluate(f, c, depth, precision))
-    for n_tol in (1, 2, 4):
-        tol = from_rational(Fraction(1, n_tol))
-        rounds = []
-        for m in (1, 2, 4, 8, 16, 32):
-            hit = None
-            for q_c in budget.coefficients:
-                for sgn in (1, -1):
-                    d = from_rational(sgn * q_c * _HALF * Fraction(1, m))
-                    if _violates(f, fc, c + d, tol, depth, precision):
-                        hit = d
-                        break
-                if hit is not None:
-                    break
-            if hit is None:
-                rounds = None
-                break
-            rounds.append((f"1/{m}", repr(hit)))
-        if rounds is not None:
-            return refuted(depth, witness={"tolerance": f"1/{n_tol}",
-                                           "violations": rounds},
-                           caveat="neighbourhood family budgeted")
-    return unknown(depth, reason="outside the certifiable class and no grid "
-                                 "violation found")
+    tolerances = [(f"1/{n}", from_rational(Fraction(1, n))) for n in (1, 2, 4)]
+    radii = [(f"1/{m}", lambda m=m: [from_rational(sgn * q * _HALF * Fraction(1, m))
+                                     for q in budget.coefficients for sgn in (1, -1)])
+             for m in (1, 2, 4, 8, 16, 32)]
+    return _refute(f, c, tolerances, radii, "tolerance",
+                   "neighbourhood family budgeted", depth, precision)
 
 
 def check_ed(f: E.Expr, point: RzlNumber, depth: int = DEFAULT_DEPTH,
@@ -268,64 +270,20 @@ def check_ed(f: E.Expr, point: RzlNumber, depth: int = DEFAULT_DEPTH,
     """Continuity with both radii arbitrary positive streams."""
     budget = budget or GridBudget()
     c = as_number(point)
-    cert = _certify_ed(f, c, depth, precision)
+    rules = {
+        "const": lambda: ({"rule": "constant"}, None),
+        "poly": lambda lip: ({"rule": "poly-lipschitz", "L": str(lip),
+                              "eps2": "min(1, eps1/(2*max(L,1)))"},
+                             "stream radii scale through the Lipschitz bound"),
+        "piecewise": lambda branch, inner: (
+            {"rule": "branch-freeze", "branch": E.to_text(branch),
+             "eps2": "min(inner radius, eps)", "inner": inner},
+            "infinitesimal radii cannot change the standard-part branch"),
+    }
+    cert = _certify(f, c, rules, depth, precision)
     if cert is not None:
         return cert
     # refutation: some stream tolerance violated inside every budgeted radius
-    fc = functools.cache(lambda: evaluate(f, c, depth, precision))
-    for k_tol in range(0, 3):
-        for a1 in budget.coefficients[:2]:
-            e1 = monomial(a1, k_tol)
-            rounds = []
-            for j in range(0, budget.max_index + 1):
-                for a2 in budget.coefficients:
-                    e2 = monomial(a2, j)
-                    hit = None
-                    for d in _displacements(e2, j, budget, depth, precision):
-                        if _violates(f, fc, c + d, e1, depth, precision):
-                            hit = d
-                            break
-                    if hit is None:
-                        rounds = None
-                        break
-                    rounds.append((f"{a2}*eps^{j}", repr(hit)))
-                if rounds is None:
-                    break
-            if rounds is not None:
-                return refuted(depth, witness={"tolerance": f"{a1}*eps^{k_tol}",
-                                               "violations": rounds},
-                               caveat="radius family budgeted")
-    return unknown(depth, reason="outside the certifiable class and no grid "
-                                 "violation found")
-
-
-def _certify_ed(f: E.Expr, c: RzlNumber, depth: int,
-                precision: int) -> Verdict | None:
-    cls = _classify(f)
-    if cls is None:
-        return None
-    if cls[0] == "const":
-        return certified(depth, witness={"rule": "constant"})
-    if cls[0] == "poly":
-        lip = _lipschitz_at(cls[1], c)
-        if lip is None:
-            return None
-        return certified(depth, witness={
-            "rule": "poly-lipschitz", "L": str(lip),
-            "eps2": "min(1, eps1/(2*max(L,1)))"},
-            reason="stream radii scale through the Lipschitz bound")
-    if cls[0] == "piecewise":
-        if not isinstance(cls[1].subject, E.Var) and not _omega_free(c):
-            return None
-        try:
-            branch = _branch_at(cls[1], c, precision)
-        except UndecidedError:
-            return None
-        inner = _certify_ed(branch, c, depth, precision)
-        if inner is None or not inner.is_certified:
-            return None
-        return certified(depth, witness={
-            "rule": "branch-freeze", "branch": E.to_text(branch),
-            "eps2": "min(inner radius, eps)", "inner": inner.witness},
-            reason="infinitesimal radii cannot change the standard-part branch")
-    return None
+    return _refute(f, c, _stream_tolerances(budget.coefficients[:2], range(3)),
+                   _stream_radii(budget, range(budget.max_index + 1), depth, precision),
+                   "tolerance", "radius family budgeted", depth, precision)

@@ -300,6 +300,17 @@ def recurrence_sum(c, seq, k: int, top: int | None = None):
     return acc
 
 
+def _exact_zeros(x: RzlNumber, hi: int | None = None) -> bool:
+    """Provably zero -- an exact rational zero -- at every index from
+    x.low to hi.  Without hi the window is the whole stream, which needs
+    a finite support."""
+    if hi is None:
+        if x.finite_support is None:
+            return False
+        hi = x.finite_support
+    return all(scalar_is_zero(x[i]) for i in range(x.low, hi + 1))
+
+
 def leading_index(x: RzlNumber, depth: int = DEFAULT_DEPTH,
                   budget: int = PRECISION_BUDGET) -> Verdict:
     """First index whose coefficient is provably nonzero.

@@ -17,6 +17,7 @@ from fractions import Fraction
 from .number import (
     DEFAULT_DEPTH,
     RzlNumber,
+    _exact_zeros,
     as_number,
     from_rational,
     leading_index,
@@ -129,7 +130,7 @@ def in_delta(x: RzlNumber, d: DeltaSpec, depth: int = DEFAULT_DEPTH,
             if li.witness >= d.m:
                 return certified(depth, witness=li.witness)
             return refuted(depth, witness=li.witness)
-        if _provably_zero(x):
+        if _exact_zeros(x):
             # the zero stream is the a_0 = 0 member of the order-0 set only
             return certified(depth, reason="exact zero") if d.m == 0 \
                 else refuted(depth, reason="exact zero")
@@ -171,13 +172,6 @@ def in_delta_leading(x: RzlNumber, m: int, depth: int = DEFAULT_DEPTH,
             return certified(depth, witness=m)
         return refuted(depth, witness=li.witness)
     return unknown(depth, reason=li.reason)
-
-
-def _provably_zero(x: RzlNumber) -> bool:
-    if x.finite_support is None:
-        return False
-    return all(is_rational_scalar(x[i]) and x[i] == 0
-               for i in range(x.low, x.finite_support + 1))
 
 
 # -- balls -----------------------------------------------------------------------
@@ -277,13 +271,13 @@ def distinguishable(x: RzlNumber, y: RzlNumber, kind: str,
                                       "rational-radius ball around one point "
                                       "contains the other")
             return certified(depth, witness=("st-ball-n", _separating_n(d, m, budget)))
-        if _provably_zero(d):
+        if _exact_zeros(d):
             return refuted(depth, reason="points are equal")
         return unknown(depth, reason=li.reason)
     if kind == "e":
         if li.is_certified:
             return certified(depth, witness=("eps-radius-order", li.witness + 1))
-        if _provably_zero(d):
+        if _exact_zeros(d):
             return refuted(depth, reason="points are equal")
         return unknown(depth, reason=li.reason)
     raise ValueError("kind must be 'st' or 'e'")
@@ -296,14 +290,10 @@ def _separating_n(d: RzlNumber, m: int, budget: int) -> int:
     c = d[0]
     if is_rational_scalar(c):
         return math.floor(2 / abs(Fraction(c))) + 1
-    n = 1
-    while n <= budget:
-        lo, hi = c.bracket(n)
-        if lo > 0 or hi < 0:
-            bound = min(abs(lo), abs(hi))
-            return math.floor(2 / bound) + 1
-        n *= 2
-    raise UndecidedError("certified leading coefficient lost its certificate")
+    clear = c.bracket_clear_of((0,), budget)
+    if clear is None:
+        raise UndecidedError("certified leading coefficient lost its certificate")
+    return math.floor(2 / min(abs(clear[0]), abs(clear[1]))) + 1
 
 
 def point_interior_witness(interval: tuple[RzlNumber, RzlNumber], z: RzlNumber,

@@ -127,17 +127,21 @@ class CompReal:
 
         return CompReal(fn)
 
-    def sign(self, budget: int = PRECISION_BUDGET):
-        """+1/-1 once a bracket excludes zero, or None within the budget."""
+    def bracket_clear_of(self, cuts, budget: int = PRECISION_BUDGET):
+        """The first bracket at precision 1, 2, 4, ... <= budget that holds
+        none of the rational cut points, or None within the budget."""
         n = 1
         while n <= budget:
             lo, hi = self.bracket(n)
-            if lo > 0:
-                return 1
-            if hi < 0:
-                return -1
+            if all(c < lo or hi < c for c in cuts):
+                return lo, hi
             n *= 2
         return None
+
+    def sign(self, budget: int = PRECISION_BUDGET):
+        """+1/-1 once a bracket excludes zero, or None within the budget."""
+        clear = self.bracket_clear_of((0,), budget)
+        return None if clear is None else (1 if clear[0] > 0 else -1)
 
     def __repr__(self):
         return f"CompReal({float(self.approx(10 ** 6)):.6g}, tag={self.tag!r})"
@@ -250,17 +254,10 @@ def scalar_div(a, b, budget: int = PRECISION_BUDGET):
             return Fraction(a) / Fraction(b)
         return scalar_mul(a, 1 / Fraction(b))
     bc = _promote(b)
-    s = bc.sign(budget)
-    if s is None:
+    clear = bc.bracket_clear_of((0,), budget)
+    if clear is None:
         raise ZeroDivisionError("divisor sign undecided within precision budget")
-    n = 1
-    while True:
-        lo, hi = bc.bracket(n)
-        if lo > 0 or hi < 0:
-            bound = min(abs(lo), abs(hi))
-            break
-        n *= 2
-    return scalar_mul(a, bc.reciprocal(bound))
+    return scalar_mul(a, bc.reciprocal(min(abs(clear[0]), abs(clear[1]))))
 
 
 def scalar_sign(x, budget: int = PRECISION_BUDGET):
@@ -293,15 +290,9 @@ def scalar_abs_within(x, bound: Fraction, budget: int = PRECISION_BUDGET):
     """Tri-state check |x| < bound for a positive rational bound."""
     if is_rational_scalar(x):
         return abs(Fraction(x)) < bound
-    n = 1
-    while n <= budget:
-        lo, hi = x.bracket(n)
-        if -bound < lo and hi < bound:
-            return True
-        if hi < -bound or lo > bound:
-            return False
-        n *= 2
-    return None
+    clear = x.bracket_clear_of((-bound, bound), budget)
+    # a bracket clear of both cuts lies wholly inside or wholly outside
+    return None if clear is None else abs(clear[0]) < bound
 
 
 def scalar_str(x) -> str:

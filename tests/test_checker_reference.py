@@ -1,0 +1,155 @@
+"""Differential test: the continuity and convergence checkers against a
+copy of their earlier, loop-per-notion implementation.
+
+Every query of a fixed corpus must give the same verdict JSON (state,
+depth, witness, value, reason, caveat) or raise the same exception type
+with the same message, and no continuity query may evaluate the function
+more often than the reference does.
+"""
+
+from fractions import Fraction as F
+
+import pytest
+import reference_continuity as ref_cont
+import reference_convergence as ref_conv
+
+from rzl import continuity, convergence
+from rzl import expr as E
+from rzl.cli import _verdict_json
+from rzl.number import epsilon, from_rational, omega, one
+from rzl.parser import parse, parse_sequence
+
+X = E.X
+
+FUNCTIONS = {
+    "const": E.Const(F(7, 3)),
+    "poly": parse("x^2 - 2*x + 1/2"),
+    "piecewise": E.PiecewiseSt("<=", 0, X, X + 1),
+    "piecewise-square": E.PiecewiseSt("<", F(1, 4), E.Const(1), X, subject=X * X),
+    "sign": E.Sign(X),
+    "abs": E.Abs(X),
+    "sin": E.Sin(X),
+    "exp": E.Exp(X),
+    "rational(-3,1/3)": parse("(x - 3)/(x^2 + 1/3)"),
+    "rational(1,1)": parse("(x + 1)/(x^2 + 1)"),
+}
+
+POINTS = {
+    "0": lambda: from_rational(0),
+    "1/3": lambda: from_rational(F(1, 3)),
+    "-2/5": lambda: from_rational(F(-2, 5)),
+    "w+1": lambda: omega() + one(),
+    "1/2+eps": lambda: from_rational(F(1, 2)) + epsilon(),
+}
+
+
+def _outcome(call):
+    """Verdict JSON (or a dict of them), or the raised exception."""
+    try:
+        v = call()
+    except Exception as exc:   # compared, not swallowed
+        return ("raised", type(exc), str(exc))
+    if isinstance(v, dict):
+        return {key: _verdict_json(val) for key, val in v.items()}
+    return _verdict_json(v)
+
+
+def _counting(monkeypatch, module):
+    calls = []
+    real = module.evaluate
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, "evaluate", counted)
+    return calls
+
+
+CONTINUITY_QUERIES = {
+    "kn_grid": lambda m, f, c: m.check_kn_grid(f, c, 2, 2),
+    "ed": lambda m, f, c: m.check_ed(f, c),
+    "ed_class": lambda m, f, c: m.check_ed_class(f, c),
+}
+
+
+@pytest.mark.parametrize("fname", sorted(FUNCTIONS))
+def test_continuity_matches_reference(fname, monkeypatch):
+    new_calls = _counting(monkeypatch, continuity)
+    ref_calls = _counting(monkeypatch, ref_cont)
+    f = FUNCTIONS[fname]
+    for pname, point in POINTS.items():
+        for qname, query in CONTINUITY_QUERIES.items():
+            case = (fname, pname, qname)
+            del new_calls[:], ref_calls[:]
+            expected = _outcome(lambda: query(ref_cont, f, point()))
+            got = _outcome(lambda: query(continuity, f, point()))
+            assert got == expected, case
+            assert len(new_calls) <= len(ref_calls), case
+
+
+def test_continuity_corpus_reaches_every_outcome():
+    # certificates, refutations, Unknown and errors all occur in the corpus
+    states = set()
+    for fname in ("const", "piecewise", "sin"):
+        for point in (POINTS["0"], POINTS["w+1"]):
+            out = _outcome(lambda: continuity.check_ed_class(FUNCTIONS[fname], point()))
+            states.add(out[0] if isinstance(out, tuple) else out["state"])
+    assert states == {"certified", "refuted", "unknown", "raised"}
+
+
+SEQUENCES = ("1/n", "2/n", "n", "(-1)^n", "eps^n", "eps/(2*n)", "1/2 + eps^n")
+
+CONVERGENCE_QUERIES = {
+    "cc": lambda m, s, lim: m.cc_check(s, lim),
+    "cc-modulus": lambda m, s, lim: m.cc_check(s, lim, modulus=lambda k: k),
+    "hc-eps": lambda m, s, lim: m.hc_check(s, lim, [epsilon()]),
+    "hc-1/4": lambda m, s, lim: m.hc_check(s, lim, [from_rational(F(1, 4))]),
+    "hc-both": lambda m, s, lim: m.hc_check(
+        s, lim, [from_rational(F(1, 4)), epsilon()]),
+    "rc-4": lambda m, s, lim: m.rc_check(s, lim, index_budget=4),
+    "rc-16": lambda m, s, lim: m.rc_check(s, lim, index_budget=16),
+    "cauchy": lambda m, s, lim: m.hyper_cauchy_check(s, [epsilon()], limit_hint=lim),
+    "hc-zero-radius": lambda m, s, lim: m.hc_check(s, lim, [from_rational(0)]),
+    "hc-no-radius": lambda m, s, lim: m.hc_check(s, lim, []),
+    "cauchy-no-radius": lambda m, s, lim: m.hyper_cauchy_check(s, []),
+}
+
+
+@pytest.mark.parametrize("text", SEQUENCES)
+def test_convergence_matches_reference(text):
+    seq = convergence.RzlSequence(parse_sequence(text), text)
+    for limit in (F(0), F(1, 2)):
+        for qname, query in CONVERGENCE_QUERIES.items():
+            case = (text, limit, qname)
+            expected = _outcome(lambda: query(ref_conv, seq, from_rational(limit)))
+            got = _outcome(lambda: query(convergence, seq, from_rational(limit)))
+            assert got == expected, case
+
+
+def test_hc_reads_each_term_once(monkeypatch):
+    calls = []
+    real = convergence.within_radius
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(convergence, "within_radius", counted)
+    seq = convergence.RzlSequence(parse_sequence("1/n"), "1/n")
+    v = convergence.hc_check(seq, from_rational(0), [epsilon()])
+    assert v.is_refuted
+    assert len(calls) == 24
+
+
+def test_known_budget_flips_keep_their_verdicts():
+    # (0,0)-continuity of a steep continuous function, refuted because the
+    # radii stop at 1/8; rc certifies eps^n -> 0 from its index window; cc
+    # refutes 2/n -> 0 from its 24-term window
+    f = FUNCTIONS["rational(-3,1/3)"]
+    c = from_rational(F(1, 4))
+    assert continuity.check_kn_continuity(continuity.ContinuityQuery(f, c)).is_refuted
+    eps_pow = convergence.RzlSequence(parse_sequence("eps^n"), "eps^n")
+    assert convergence.rc_check(eps_pow, from_rational(0)).is_certified
+    two_over_n = convergence.RzlSequence(parse_sequence("2/n"), "2/n")
+    assert convergence.cc_check(two_over_n, from_rational(0)).is_refuted

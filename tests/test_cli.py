@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from rzl.cli import main
 
 
@@ -131,6 +133,25 @@ def test_deep_nesting_exit(capsys):
     assert code == 1 and "nesting deeper than 100" in err
 
 
+def test_deep_sum_exit(capsys):
+    deep_sum = "+".join(["eps"] * 1500)
+    code, _, err = run(capsys, "eval", deep_sum)
+    assert code == 1 and err.strip() == "error: input too deeply nested"
+    code, out, _ = run(capsys, "eval", deep_sum, "--format", "json")
+    assert code == 1
+    assert json.loads(out) == {"command": "eval", "error": "input too deeply nested"}
+
+
+def test_usage_errors_exit_1(capsys):
+    for argv in (["eval", "-eps+1"], ["eval"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1, argv
+        assert "'--'" in capsys.readouterr().err
+    code, out, _ = run(capsys, "eval", "--", "-eps+1")
+    assert code == 0 and out.strip() == "^1, -1, 0, 0, 0, 0, 0, ..."
+
+
 def test_repl(capsys, monkeypatch):
     lines = iter(["eps*w+1", "nonsense$", ":q"])
     monkeypatch.setattr("builtins.input", lambda prompt="": next(lines))
@@ -138,3 +159,12 @@ def test_repl(capsys, monkeypatch):
     out = capsys.readouterr()
     assert "0, ^2, 0, 0, 0, 0, 0, 0, ..." in out.out
     assert "error:" in out.err
+
+
+def test_repl_goes_on_after_deep_sum(capsys, monkeypatch):
+    lines = iter(["+".join(["eps"] * 1500), "eps", ":q"])
+    monkeypatch.setattr("builtins.input", lambda prompt="": next(lines))
+    assert main([]) == 0
+    out = capsys.readouterr()
+    assert "error: input too deeply nested" in out.err
+    assert out.out.strip() == "^0, 1, 0, 0, 0, 0, 0, ..."

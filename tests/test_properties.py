@@ -1,0 +1,143 @@
+"""Property tests: precision escalation agrees with exact rational answers,
+and order verdicts are monotone in their budgets."""
+
+from fractions import Fraction
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from rzl.number import from_coefficients, monomial  # noqa: E402
+from rzl.order import (  # noqa: E402
+    DeltaSpec,
+    ball_contains,
+    classify,
+    e_ball,
+    in_delta,
+    lex_less,
+    psi_ball,
+    rat_ball,
+    sign_of,
+    st_ball,
+)
+from rzl.scalar import CompReal, scalar_abs_within  # noqa: E402
+
+SETTINGS = settings(deadline=None, max_examples=60, derandomize=True)
+
+rationals = st.fractions(min_value=-2, max_value=2, max_denominator=2 ** 12)
+budgets = st.integers(min_value=1, max_value=2 ** 12)
+
+
+@st.composite
+def computable(draw):
+    """A rational q and a CompReal for it: exact-tagged or a derived sum."""
+    q = draw(rationals)
+    if draw(st.booleans()):
+        return q, CompReal.from_rational(q)
+    a = draw(rationals)
+    return q, CompReal.from_rational(a) + CompReal.from_rational(q - a)
+
+
+def _sign(q):
+    return (q > 0) - (q < 0)
+
+
+@SETTINGS
+@given(computable(), budgets)
+def test_escalated_sign_matches_exact(qc, budget):
+    q, c = qc
+    s = c.sign(budget)
+    if s is not None:
+        assert s == _sign(q)
+        assert c.sign(4 * budget) == s
+    if q == 0:
+        assert s is None     # a bracket around zero never clears it
+
+
+@SETTINGS
+@given(computable(), st.fractions(min_value=Fraction(1, 2 ** 10), max_value=2), budgets)
+def test_escalated_abs_within_matches_exact(qc, bound, budget):
+    q, c = qc
+    inside = scalar_abs_within(c, bound, budget)
+    if inside is not None:
+        assert inside == (abs(q) < bound)
+        assert scalar_abs_within(c, bound, 4 * budget) == inside
+    clear = c.bracket_clear_of((-bound, bound), budget)
+    assert (clear is None) == (inside is None)
+    if clear is not None:
+        lo, hi = clear
+        assert lo <= q <= hi
+        assert all(cut < lo or hi < cut for cut in (-bound, bound))
+        assert c.bracket_clear_of((-bound, bound), 4 * budget) == clear
+
+
+# -- order verdicts under growing budgets ----------------------------------------
+
+small = st.sampled_from([0, 0, 0, 1, -1, Fraction(1, 2), Fraction(-1, 3), 2])
+
+
+@st.composite
+def streams(draw):
+    """A finite-support rational stream, one coefficient possibly a CompReal."""
+    low = draw(st.integers(min_value=-2, max_value=1))
+    coeffs = draw(st.lists(small, min_size=1, max_size=5))
+    if draw(st.booleans()):
+        i = draw(st.integers(min_value=0, max_value=len(coeffs) - 1))
+        _, coeffs[i] = draw(computable())
+    return from_coefficients(low, coeffs)
+
+
+def _plain(obj):
+    """Witness with computable reals replaced by their value at 10^-6."""
+    if isinstance(obj, CompReal):
+        return ("creal", obj.approx(10 ** 6))
+    if isinstance(obj, tuple):
+        return tuple(_plain(v) for v in obj)
+    return obj
+
+
+def _assert_monotone(check, depth, budget, same_witness=True):
+    small_v = check(depth, budget)
+    if small_v.is_unknown:
+        return
+    big_v = check(depth + 8, 4 * budget)
+    assert big_v.state == small_v.state
+    if same_witness:
+        assert _plain(big_v.witness) == _plain(small_v.witness)
+
+
+depths = st.integers(min_value=1, max_value=8)
+
+
+@SETTINGS
+@given(streams(), streams(), st.integers(min_value=0, max_value=3), depths, budgets)
+def test_order_verdicts_monotone_in_budget(x, y, m, depth, budget):
+    _assert_monotone(lambda d, b: sign_of(x, d, b), depth, budget)
+    _assert_monotone(lambda d, b: lex_less(x, y, d, b), depth, budget)
+    _assert_monotone(lambda d, b: classify(x, d, b), depth, budget)
+    _assert_monotone(lambda d, b: in_delta(x, DeltaSpec(m, down_closed=True), d, b),
+                     depth, budget)
+    # the pure-monomial reading refutes past an undecided coefficient, so
+    # its witness index may move down as the budget grows (see below)
+    _assert_monotone(lambda d, b: in_delta(x, DeltaSpec(m), d, b), depth, budget,
+                     same_witness=False)
+
+
+@pytest.mark.xfail(strict=True, reason="in_delta's pure-monomial reading skips an "
+                                       "undecided coefficient and refutes at a later one")
+def test_in_delta_pure_reading_witness_stable():
+    x = from_coefficients(0, [CompReal.from_rational(Fraction(1, 1000)), 0, 1])
+    low = in_delta(x, DeltaSpec(1), 8, 16)
+    high = in_delta(x, DeltaSpec(1), 8, 2 ** 12)
+    assert low.is_refuted and high.is_refuted
+    assert low.witness == high.witness
+
+
+@SETTINGS
+@given(streams(), streams(), st.integers(min_value=1, max_value=4), depths, budgets)
+def test_ball_contains_monotone_in_budget(center, z, n, depth, budget):
+    for ball in (st_ball(center, n), rat_ball(center, n), psi_ball(center, n),
+                 e_ball(center, monomial(Fraction(1, n), 1))):
+        _assert_monotone(lambda d, b: ball_contains(ball, z, d, b), depth, budget)
