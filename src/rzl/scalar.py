@@ -5,6 +5,12 @@ Coefficients are either exact rationals (`int` / `fractions.Fraction`) or
 approximations.  A `CompReal` never answers equality questions; callers get
 brackets and may escalate precision, which is why every sign decision in
 this package is allowed to come back undecided.
+
+A `CompReal` is a node of a DAG evaluated in midpoint-radius ("ball")
+arithmetic at one working precision p, the scheme of Mueller's iRRAM ("The
+iRRAM: exact arithmetic in C++", 2000) and van der Hoeven's "Ball
+arithmetic" (2009): each node computes its ball from its children's balls
+at the same p, at most once per p.
 """
 
 from __future__ import annotations
@@ -19,6 +25,16 @@ Rational = Fraction
 #: geometric, so this costs ~20 refinement rounds before giving up.
 PRECISION_BUDGET = 2 ** 20
 
+#: Bits a first working precision carries beyond those of the requested
+#: precision, so that the radii of moderately deep DAGs fit without a retry.
+_GUARD_BITS = 16
+
+#: `scalar_str` renders a computable real to relative precision once its
+#: bracket at `_RENDER_CAP` excludes 0; a value that bracket does not
+#: separate from 0 keeps the absolute rendering at `_RENDER_PRECISION`.
+_RENDER_CAP = 2 ** 100
+_RENDER_PRECISION = 10 ** 7
+
 _SIN_CYCLE = (0, 1, 0, -1)   # n-th derivative of sin at 0, mod 4
 _COS_CYCLE = (1, 0, -1, 0)
 
@@ -29,33 +45,85 @@ def _as_fraction(x) -> Fraction:
     return Fraction(x)
 
 
+def _grid(bits: int) -> int:
+    """`bits` rounded up to three significant bits, and to at least 32:
+    approximations at nearby precisions then share one working precision."""
+    step = 1 << max(5, bits.bit_length() - 3)
+    return -(-bits // step) * step
+
+
 class CompReal:
     """A real number given by a rational approximation at every precision.
 
     ``approx(n)`` returns a rational q with ``|q - value| <= 1/n``; the
     guaranteed bracket at precision n is ``[q - 1/n, q + 1/n]`` (width 2/n).
-    Approximations are deterministic and memoized, so values are safe to
-    share; recomputation is idempotent.
+    ``ball(p)`` returns integers (M, R) with ``|value - M/2^p| <= R/2^p``.
+    Balls and approximations are deterministic and memoized, so values are
+    safe to share across threads; recomputation is idempotent.
+
+    ``CompReal(approx_fn)`` wraps a function n -> rational within 1/n of
+    the value; the arithmetic operators, `reciprocal` and
+    `creal_elementary` build DAG nodes over such leaves and rationals.
     """
 
-    __slots__ = ("_fn", "_memo", "tag")
+    __slots__ = ("_op", "_kids", "_data", "_balls", "_memo", "tag")
 
     def __init__(self, approx_fn, tag="derived"):
-        self._fn = approx_fn
-        self._memo = {}
-        self.tag = tag
+        self._op, self._kids, self._data = _approx_fn_ball, (), approx_fn
+        self._balls, self._memo, self.tag = {}, {}, tag
+
+    @classmethod
+    def _node(cls, op, kids, data, tag="derived") -> "CompReal":
+        """A node whose ball at p is op(p, data, *(kid balls at p))."""
+        node = cls(data, tag)
+        node._op, node._kids = op, kids
+        return node
 
     @staticmethod
     def from_rational(q) -> "CompReal":
         q = _as_fraction(q)
-        return CompReal(lambda n: q, tag=f"exact-rational:{q}")
+        return CompReal._node(_rational_ball, (), q, tag=f"exact-rational:{q}")
+
+    def ball(self, p: int) -> tuple[int, int]:
+        """(M, R) with |value - M/2^p| <= R/2^p.
+
+        Nodes below are evaluated children first from an explicit stack,
+        so the depth of the DAG is not limited by the recursion limit.
+        """
+        ball = self._balls.get(p)
+        if ball is not None:
+            return ball
+        stack = [self]
+        while stack:
+            node = stack[-1]
+            balls = node._balls
+            if p in balls:
+                stack.pop()
+                continue
+            kids = node._kids
+            for k in kids:
+                if p not in k._balls:
+                    stack.extend(kids)
+                    break
+            else:
+                stack.pop()
+                balls[p] = node._op(p, node._data, *[k._balls[p] for k in kids])
+        return self._balls[p]
 
     def approx(self, n: int) -> Fraction:
         if n < 1:
             raise ValueError("precision must be a positive integer")
-        if n not in self._memo:
-            self._memo[n] = _as_fraction(self._fn(n))
-        return self._memo[n]
+        a = self._memo.get(n)
+        if a is None:
+            # the working precision depends on n alone, so every thread
+            # reads the same balls and the same answer
+            p = _grid(n.bit_length() + _GUARD_BITS)
+            m, r = self.ball(p)
+            while r * n > 1 << p:
+                p = _grid((r * n).bit_length() + p // 4)
+                m, r = self.ball(p)
+            a = self._memo.setdefault(n, Fraction(m, 1 << p))
+        return a
 
     def bracket(self, n: int) -> tuple[Fraction, Fraction]:
         a = self.approx(n)
@@ -63,15 +131,16 @@ class CompReal:
 
     def __neg__(self) -> "CompReal":
         tag = f"neg:{self.tag}" if self.tag != "derived" else "derived"
-        return CompReal(lambda n: -self.approx(n), tag=tag)
+        return CompReal._node(_neg_ball, (self,), None, tag=tag)
 
     def __add__(self, other) -> "CompReal":
-        if isinstance(other, numbers.Rational) and other == 0:
-            return self
-        other = _promote(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return CompReal(lambda n: self.approx(2 * n) + other.approx(2 * n))
+        if not isinstance(other, CompReal):
+            if isinstance(other, numbers.Rational) and other == 0:
+                return self
+            other = _promote(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return CompReal._node(_add_ball, (self, other), None)
 
     __radd__ = __add__
 
@@ -88,20 +157,11 @@ class CompReal:
         return other + (-self)
 
     def __mul__(self, other) -> "CompReal":
+        if isinstance(other, CompReal):
+            return CompReal._node(_mul_ball, (self, other), None)
         if isinstance(other, numbers.Rational):
             return self._scale(_as_fraction(other))
-        if not isinstance(other, CompReal):
-            return NotImplemented
-
-        def fn(n):
-            # |a| <= ma and |b| <= mb, so querying both at n*(ma+mb+1)
-            # keeps the product within 1/n of the true value.
-            ma = abs(self.approx(1)) + 1
-            mb = abs(other.approx(1)) + 1
-            m = n * (math.ceil(ma + mb) + 1)
-            return self.approx(m) * other.approx(m)
-
-        return CompReal(fn)
+        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -110,22 +170,14 @@ class CompReal:
             return CompReal.from_rational(0)
         if q == 1:
             return self
-        m = math.ceil(abs(q))
         tag = f"scale({q}):{self.tag}" if self.tag != "derived" else "derived"
-        return CompReal(lambda n: self.approx(n * m) * q, tag=tag)
+        return CompReal._node(_scale_ball, (self,), q, tag=tag)
 
     def reciprocal(self, lower_bound: Fraction) -> "CompReal":
         """Reciprocal given a certified rational bound 0 < lower_bound <= |value|."""
         if lower_bound <= 0:
             raise ValueError("reciprocal needs a positive certified lower bound")
-
-        def fn(n):
-            m = max(math.ceil(Fraction(2, lower_bound)),
-                    math.ceil(2 * n / (lower_bound * lower_bound)))
-            a = self.approx(m)
-            return 1 / a
-
-        return CompReal(fn)
+        return CompReal._node(_reciprocal_ball, (self,), _as_fraction(lower_bound))
 
     def bracket_clear_of(self, cuts, budget: int = PRECISION_BUDGET):
         """The first bracket at precision 1, 2, 4, ... <= budget that holds
@@ -155,30 +207,85 @@ def _promote(x):
     return NotImplemented
 
 
-def _exp_tail_bound(q: Fraction, order: int) -> Fraction:
-    # Valid once order + 2 > 2|q|: the term ratio is then below 1/2 and the
-    # tail is dominated by twice its first term.
-    aq = abs(q)
-    return 2 * aq ** (order + 1) / Fraction(math.factorial(order + 1))
+# ---------------------------------------------------------------------------
+# Ball operations.  Each maps (p, data, *kid balls at p) to the node's ball
+# at p; M is rounded down, and R counts that rounding as one more ulp
+# unless it was exact.
+# ---------------------------------------------------------------------------
+
+def _rational_ball(p, q):
+    m, rem = divmod(q.numerator << p, q.denominator)
+    return m, int(rem != 0)
 
 
-def _partial_sum(kind: str, q: Fraction, order: int) -> Fraction:
-    total = Fraction(0)
-    power = Fraction(1)
-    fact = 1
-    for k in range(order + 1):
-        if k > 0:
-            power *= q
-            fact *= k
-        if kind == "exp":
-            c = 1
-        elif kind == "sin":
-            c = _SIN_CYCLE[k % 4]
-        else:
-            c = _COS_CYCLE[k % 4]
+def _approx_fn_ball(p, fn):
+    # fn(2^p) is within one ulp of the value, and flooring it costs one more
+    v = _as_fraction(fn(1 << p))
+    return (v.numerator << p) // v.denominator, 2
+
+
+def _neg_ball(p, _, a):
+    return -a[0], a[1]
+
+
+def _add_ball(p, _, a, b):
+    return a[0] + b[0], a[1] + b[1]
+
+
+def _mul_ball(p, _, a, b):
+    (ma, ra), (mb, rb) = a, b
+    prod = ma * mb
+    m = prod >> p
+    err = abs(ma) * rb + abs(mb) * ra + ra * rb
+    return m, -(-err >> p) + (m << p != prod)
+
+
+def _scale_ball(p, q, a):
+    m, rem = divmod(a[0] * q.numerator, q.denominator)
+    return m, -(-a[1] * abs(q.numerator) // q.denominator) + (rem != 0)
+
+
+def _reciprocal_ball(p, lower_bound, a):
+    m, r = a
+    num, den = lower_bound.numerator, lower_bound.denominator
+    if abs(m) <= r:
+        # the ball still holds 0: only |1/value| <= 1/lower_bound is known
+        return 0, -(-(den << p) // num)
+    # |value| >= bn/bd ulps, the better of the ball's bound and lower_bound;
+    # then |1/value - 2^p/m| <= r * 2^p / (bn/bd * |m|) in units of 2^-p
+    bn, bd = abs(m) - r, 1
+    if bn * den < num << p:
+        bn, bd = num << p, den
+    q, rem = divmod(1 << 2 * p, m)
+    return q, -(-(r << 2 * p) * bd // (bn * abs(m))) + (rem != 0)
+
+
+def _series_ball(p, data):
+    """exp, sin or cos of a rational q summed in fixed point with g guard
+    bits: t is |q|^k/k! in units of 2^-(p+g), rounded down, and e bounds
+    its error; each term adds its error to the total."""
+    kind, q = data
+    a, b = abs(q.numerator), q.denominator
+    cycle = (1, 1, 1, 1) if kind == "exp" else _SIN_CYCLE if kind == "sin" else _COS_CYCLE
+    g = p.bit_length() + 4
+    t, e = 1 << (p + g), 0
+    total = err = 0
+    k = 0
+    while True:
+        c = cycle[k % 4]
         if c:
-            total += c * power / fact
-    return total
+            total += -c * t if q < 0 and k % 2 else c * t
+            err += e
+        # once every ratio |q|/(j+1), j >= k, is at most 1/2, the terms
+        # after k sum to at most |q|^k/k!, that is at most t + e = e
+        if t == 0 and 2 * a <= (k + 1) * b:
+            break
+        k += 1
+        t, rem = divmod(t * a, b * k)
+        e = -(-e * a // (b * k)) + (rem != 0)
+    err += e
+    m = total >> g
+    return m, -(-err >> g) + (m << g != total)
 
 
 def creal_elementary(kind: str, q) -> CompReal:
@@ -186,14 +293,7 @@ def creal_elementary(kind: str, q) -> CompReal:
     if kind not in ("exp", "sin", "cos"):
         raise ValueError(f"unknown elementary kind {kind!r}")
     q = _as_fraction(q)
-
-    def fn(n):
-        order = max(4, 2 * math.ceil(abs(q)))
-        while _exp_tail_bound(q, order) >= Fraction(1, 2 * n):
-            order *= 2
-        return _partial_sum(kind, q, order)
-
-    return CompReal(fn, tag=f"series:{kind}({q})")
+    return CompReal._node(_series_ball, (), (kind, q), tag=f"series:{kind}({q})")
 
 
 def creal_from_rational(q) -> CompReal:
@@ -297,8 +397,19 @@ def scalar_abs_within(x, bound: Fraction, budget: int = PRECISION_BUDGET):
 
 def scalar_str(x) -> str:
     """Exact rendering for rationals, 6 significant digits with a ``~``
-    marker for computable reals."""
+    marker for computable reals.
+
+    Once the bracket at `_RENDER_CAP` excludes 0, the digits come from an
+    approximation within 10^-8 of the magnitude (two guard digits); a value
+    that bracket does not separate from 0 prints from the approximation at
+    `_RENDER_PRECISION`, certified only to that absolute error."""
     if is_rational_scalar(x):
         f = Fraction(x)
         return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-    return "~" + f"{float(x.approx(10 ** 7)):.6g}"
+    a = x.approx(_RENDER_CAP)
+    t = abs(a) * _RENDER_CAP   # the bracket at the cap is (±t - 1, ±t + 1) / cap
+    if t <= 1:
+        a = x.approx(_RENDER_PRECISION)
+    elif t <= 10 ** 8 + 1:     # |x| >= (t - 1) / cap, below about 1e-22
+        a = x.approx(math.ceil(10 ** 8 * _RENDER_CAP / (t - 1)))
+    return "~" + f"{float(a):.6g}"

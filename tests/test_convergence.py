@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from rzl import convergence
 from rzl.convergence import (
     RzlSequence,
     cc_check,
@@ -114,6 +115,21 @@ def test_hyper_cauchy():
     # direct pairwise certification without a hint
     direct = hyper_cauchy_check(EPS_POW, [epsilon()], 12)
     assert direct.is_certified
+
+
+def test_hyper_cauchy_checks_each_pair_once(monkeypatch):
+    # the default window has 23 consecutive pairs: the n0 scan stops at
+    # each one, and the refutation reads them again from the memo
+    calls = []
+    real = convergence.within_radius
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(convergence, "within_radius", counted)
+    assert hyper_cauchy_check(HARMONIC, [epsilon()]).is_refuted
+    assert len(calls) == 23
 
 
 def test_budget_growth_never_flips_decided_verdicts():

@@ -1,5 +1,6 @@
 """Property tests: precision escalation agrees with exact rational answers,
-and order verdicts are monotone in their budgets."""
+order verdicts are monotone in their budgets, and computable-real balls
+contain the values mpmath computes."""
 
 from fractions import Fraction
 
@@ -141,3 +142,51 @@ def test_ball_contains_monotone_in_budget(center, z, n, depth, budget):
     for ball in (st_ball(center, n), rat_ball(center, n), psi_ball(center, n),
                  e_ball(center, monomial(Fraction(1, n), 1))):
         _assert_monotone(lambda d, b: ball_contains(ball, z, d, b), depth, budget)
+
+
+
+# -- ball arithmetic against an independent oracle -------------------------------
+
+leaves = st.tuples(st.sampled_from(["exp", "sin", "cos"]), rationals)
+steps = st.tuples(st.sampled_from(["+", "-", "*", "/", "scale"]),
+                  st.integers(min_value=0, max_value=11),
+                  st.integers(min_value=0, max_value=11),
+                  st.fractions(min_value=-64, max_value=64, max_denominator=64))
+
+
+@SETTINGS
+@given(st.lists(leaves, min_size=1, max_size=4), st.lists(steps, max_size=8))
+def test_ball_approximations_are_sound(leaf_list, step_list):
+    """Random DAGs of + - * /, rational scaling and exp/sin/cos leaves at
+    rationals stay within 1/n of their 50-digit mpmath values, and their
+    balls contain those values.  Nodes whose
+    value exceeds 1000 in magnitude are dropped, so that the oracle's own
+    rounding stays far below 1/n."""
+    mpmath = pytest.importorskip("mpmath")
+    from rzl.scalar import creal_elementary, scalar_div
+
+    def mp(q):
+        return mpmath.mpf(q.numerator) / q.denominator
+
+    with mpmath.workdps(50):
+        nodes = [(creal_elementary(kind, q), getattr(mpmath, kind)(mp(q)))
+                 for kind, q in leaf_list]
+        for op, i, j, q in step_list:
+            (a, va), (b, vb) = nodes[i % len(nodes)], nodes[j % len(nodes)]
+            if op == "/":
+                try:
+                    c, v = scalar_div(a, b), va / vb
+                except ZeroDivisionError:   # divisor not separated from 0
+                    continue
+            else:
+                c, v = {"+": (a + b, va + vb), "-": (a - b, va - vb),
+                        "*": (a * b, va * vb), "scale": (a * q, va * mp(q))}[op]
+            if abs(v) <= 1000:
+                nodes.append((c, v))
+        slack = mpmath.mpf(10) ** -30
+        for c, v in nodes:
+            for n in (1, 10, 10 ** 6, 2 ** 64):
+                assert abs(mp(c.approx(n)) - v) <= mpmath.mpf(1) / n + slack
+            for p in (4, 16, 64):   # the balls themselves, also at low precision
+                m, r = c.ball(p)
+                assert abs(m - v * 2 ** p) <= r + slack

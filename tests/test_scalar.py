@@ -2,6 +2,8 @@
 
 import math
 import random
+import sys
+import threading
 from fractions import Fraction as F
 
 import pytest
@@ -15,6 +17,7 @@ from rzl.scalar import (
     scalar_eq,
     scalar_mul,
     scalar_sign,
+    scalar_str,
 )
 
 
@@ -169,3 +172,60 @@ def test_exact_zero_factor_stays_exact():
     c = creal_elementary("sin", 1)
     for z in (scalar_mul(0, c), scalar_mul(c, 0), scalar_div(0, c)):
         assert type(z) is int and scalar_sign(z) == 0
+
+
+def _inverse_two_plus_sin():
+    """1/(2 + sin(1/3 + eps)), whose coefficient t is a chain of t sums."""
+    from rzl.calculus import transcendental
+    from rzl.number import epsilon, from_rational, inverse
+    return inverse(from_rational(2) + transcendental("sin", from_rational(F(1, 3)) + epsilon()))
+
+
+def test_render_is_certified_to_six_significant_digits():
+    mpmath = pytest.importorskip("mpmath")
+    x = _inverse_two_plus_sin()
+    with mpmath.workdps(50):
+        s = mpmath.mpf(1) / 3
+        # 2 + sin(s + z) = sum b_k z^k; its inverse by the convolution recurrence
+        derivs = (mpmath.sin(s), mpmath.cos(s), -mpmath.sin(s), -mpmath.cos(s))
+        b = [2 + derivs[0]] + [derivs[k % 4] / mpmath.factorial(k) for k in range(1, 20)]
+        w = [1 / b[0]]
+        for k in range(1, 20):
+            w.append(-sum(b[j] * w[k - j] for j in range(1, k + 1)) / b[0])
+        for k in range(20):
+            text = scalar_str(x[k])
+            assert text.startswith("~")
+            unit = mpmath.mpf(10) ** (mpmath.floor(mpmath.log10(abs(w[k]))) - 5)
+            assert abs(mpmath.mpf(text[1:]) - w[k]) <= unit, (k, text)
+
+
+def test_cold_deep_coefficient_reads_without_recursion():
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        text = scalar_str(_inverse_two_plus_sin()[399])
+    finally:
+        sys.setrecursionlimit(limit)
+    assert text.startswith("~")
+
+
+def test_threads_share_one_ball_dag():
+    c = _inverse_two_plus_sin()[30]
+    results = []
+
+    def read():
+        results.append(c.approx(10 ** 30))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(results) == 4
+    assert set(results) == {_inverse_two_plus_sin()[30].approx(10 ** 30)}
