@@ -22,23 +22,19 @@ from .number import (
     RzlNumber,
     _exact_zeros,
     as_number,
+    convolution_sum,
     divide,
     epsilon,
     from_scalar,
     omega,
     part,
     recurrence,
-    recurrence_sum,
 )
 from .scalar import (
     PRECISION_BUDGET,
-    CompReal,
     creal_elementary,
     is_rational_scalar,
-    scalar_add,
     scalar_eq,
-    scalar_mul,
-    scalar_neg,
     scalar_sign,
 )
 from .verdict import (
@@ -53,9 +49,7 @@ from .verdict import (
 def _compare_scalar(value, op: str, bound, budget: int):
     """Decide St-predicates exactly on rationals, by sign certificate on
     computable reals; raises when undecided."""
-    gap = value - Fraction(bound) if is_rational_scalar(value) \
-        else value - CompReal.from_rational(bound)
-    s = scalar_sign(gap, budget)
+    s = scalar_sign(value - Fraction(bound), budget)
     if s is None:
         raise UndecidedError("undecided at depth: standard-part predicate")
     if op == "<=":
@@ -161,44 +155,36 @@ def transcendental(kind: str, x: RzlNumber, depth: int = DEFAULT_DEPTH,
         raise DomainError("series functions need an exact rational standard part")
     s = Fraction(s)
     top = x.finite_support
-    weight = functools.cache(lambda j: scalar_mul(j, x[j]))   # j*d_j
+    weight = functools.cache(lambda j: j * x[j])   # j*d_j
 
     def weighted(k, seq, pick):
         """sum(j*d_j*seq[k-j][pick], j = 1..k), stopping at the support of d."""
-        return recurrence_sum(weight, lambda i: seq[i][pick], k, top)
+        return convolution_sum(weight, lambda i: seq[i][pick], k, 1,
+                               k if top is None else min(k, top))
 
     # Each entry is a tuple: (E_k,) for exp, (S_k, C_k) for sin and cos.
     if kind == "exp":
         exp_s = creal_elementary("exp", s) if s else 1
         series = recurrence(
-            lambda k, e: (scalar_mul(weighted(k, e, 0), Fraction(1, k)),), (1,))
+            lambda k, e: (weighted(k, e, 0) * Fraction(1, k),), (1,))
     else:
         sin_s = creal_elementary("sin", s) if s else 0
         cos_s = creal_elementary("cos", s) if s else 1
         series = recurrence(
-            lambda k, sc: (scalar_mul(weighted(k, sc, 1), Fraction(1, k)),
-                           scalar_mul(weighted(k, sc, 0), Fraction(-1, k))),
+            lambda k, sc: (weighted(k, sc, 1) * Fraction(1, k),
+                           weighted(k, sc, 0) * Fraction(-1, k)),
             (0, 1))
 
     def fn(k):
         if kind == "exp":
-            return _times(exp_s, series(k)[0])
+            return exp_s * series(k)[0]
         sk, ck = series(k)
         if kind == "sin":
-            return scalar_add(_times(sin_s, ck), _times(cos_s, sk))
-        return scalar_add(_times(cos_s, ck), _times(sin_s, scalar_neg(sk)))
+            return sin_s * ck + cos_s * sk
+        return cos_s * ck + sin_s * -sk
 
     fs = 0 if (top is not None and top <= 0) else None
     return RzlNumber(0, fn, finite_support=fs)
-
-
-def _times(const, c):
-    """const*c for a constant of the addition formulas.  Keeps provenance
-    tags for `scalar_eq`: c = 1 gives const itself and c = -1 its
-    negation."""
-    if is_rational_scalar(c) and c == -1:
-        return scalar_neg(const)
-    return scalar_mul(const, c)
 
 
 # -- Newton-quotient derivative ------------------------------------------------------

@@ -103,6 +103,16 @@ def _point_from(text: str, depth: int) -> RzlNumber:
     return evaluate(node, zero(), depth)
 
 
+def _value_from(text: str, at: str | None, depth: int):
+    """(node, value) for the text: a coefficient literal is its own value,
+    an expression is evaluated at the point `at`, or at 0 without one."""
+    node = parse(text)
+    if isinstance(node, RzlNumber):
+        return node, node
+    point = _point_from(at, depth) if at else zero()
+    return node, evaluate(node, point, depth)
+
+
 def _function_from(text: str) -> E.Expr:
     node = parse(text)
     if isinstance(node, RzlNumber):
@@ -178,14 +188,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _run_eval(args) -> int:
-    node = parse(args.expression)
-    if isinstance(node, RzlNumber):
-        value = node
-        echo = args.expression.strip()
-    else:
-        point = _point_from(args.at, args.depth) if args.at else zero()
-        value = evaluate(node, point, args.depth)
-        echo = E.to_text(node, grossone=args.grossone)
+    node, value = _value_from(args.expression, args.at, args.depth)
+    echo = args.expression.strip() if isinstance(node, RzlNumber) \
+        else E.to_text(node, grossone=args.grossone)
     rendered = render(value, args.eps_digits)
     report = {"command": "eval", "echo": echo,
               "result": _number_json(value, args.eps_digits),
@@ -272,9 +277,7 @@ def _run_converge(args) -> int:
 
 
 def _run_classify(args) -> int:
-    node = parse(args.expression)
-    value = node if isinstance(node, RzlNumber) \
-        else evaluate(node, zero(), args.depth)
+    _, value = _value_from(args.expression, None, args.depth)
     v = classify_number(value, args.depth)
     report = {"command": "classify",
               "result": _number_json(value, args.eps_digits),
@@ -285,10 +288,7 @@ def _run_classify(args) -> int:
 
 
 def _run_inverse(args) -> int:
-    node = parse(args.expression)
-    value = node if isinstance(node, RzlNumber) \
-        else evaluate(node, _point_from(args.at, args.depth)
-                      if args.at else zero(), args.depth)
+    _, value = _value_from(args.expression, args.at, args.depth)
     inv = inverse(value, args.depth)
     report = {"command": "inverse",
               "result": _number_json(inv, args.eps_digits),
@@ -310,10 +310,7 @@ def _repl() -> int:
         if line in (":q", ":quit", "quit", "exit"):
             return 0
         try:
-            node = parse(line)
-            value = node if isinstance(node, RzlNumber) \
-                else evaluate(node, zero())
-            print(render(value))
+            print(render(_value_from(line, None, DEFAULT_DEPTH)[1]))
         except _ERRORS as exc:
             print(f"error: {_message(exc)}", file=sys.stderr)
 

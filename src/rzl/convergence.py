@@ -81,6 +81,24 @@ def _per_tolerance(term_verdict, m_terms: int):
     return None, dict(sorted(witnesses.items()))
 
 
+def _sweep_tolerances(term_verdict, m_terms: int):
+    """`_per_tolerance` over each 1/m of `_TOLERANCES`, with term_verdict(n,
+    m): returns (m, {n: witness}) for the first tolerance every term
+    violates, else (None, {m: N}) when each tolerance has a modulus N, and
+    (None, None) otherwise.  A tolerance without a modulus does not stop
+    the search for one that every inspected term violates."""
+    derived = {}
+    for m in _TOLERANCES:
+        n0, violated = _per_tolerance(lambda n: term_verdict(n, m), m_terms)
+        if violated is not None:
+            return m, violated
+        if derived is not None and n0 is not None:
+            derived[m] = n0
+        else:
+            derived = None
+    return None, derived
+
+
 def cc_check(s: RzlSequence, limit: RzlNumber, m_terms: int = 24,
              depth: int = DEFAULT_DEPTH, budget: int = PRECISION_BUDGET,
              modulus=None) -> Verdict:
@@ -104,22 +122,14 @@ def cc_check(s: RzlSequence, limit: RzlNumber, m_terms: int = 24,
                                 "infinitesimal, hence below each 1/m",
                          caveat=window)
 
-    # a tolerance without a modulus does not stop the search for one
-    # that every inspected term violates
-    derived = {}
-    for m in _TOLERANCES:
-        n0, violated = _per_tolerance(lambda n: within(n, m), m_terms)
-        if violated is not None:
-            return refuted(depth, witness={"tolerance": f"1/{m}",
-                                           "violations": sorted(ds)},
-                           reason="every inspected distance certified at or "
-                                  "above the tolerance", caveat=window)
-        if derived is not None and n0 is not None:
-            derived[m] = n0
-        else:
-            derived = None
-    if derived is not None:
-        return certified(depth, witness={"modulus": derived},
+    m, found = _sweep_tolerances(within, m_terms)
+    if m is not None:
+        return refuted(depth, witness={"tolerance": f"1/{m}",
+                                       "violations": sorted(ds)},
+                       reason="every inspected distance certified at or "
+                              "above the tolerance", caveat=window)
+    if found is not None:
+        return certified(depth, witness={"modulus": found},
                          reason="per-term certificates yield a modulus on "
                                 "the window", caveat=window)
     return unknown(depth, reason="no modulus derivable and no persistent "
@@ -211,20 +221,14 @@ def rc_check(s: RzlSequence, limit: RzlNumber, m_terms: int = 24,
                 return refuted(depth, witness=i)
         return certified(depth) if rational else unknown(depth)
 
-    derived = {}
-    for m in _TOLERANCES:
-        n0, violated = _per_tolerance(lambda n: term_verdict(n, m), m_terms)
-        if violated is not None:
-            return refuted(depth, witness={"tolerance": f"1/{m}",
-                                           "violating_index_by_term": violated},
-                           reason="every inspected term violates the uniform "
-                                  "bound at some index", caveat=window)
-        if derived is not None and n0 is not None:
-            derived[m] = n0
-        else:
-            derived = None
-    if derived is not None:
-        return certified(depth, witness={"modulus": derived},
+    m, found = _sweep_tolerances(term_verdict, m_terms)
+    if m is not None:
+        return refuted(depth, witness={"tolerance": f"1/{m}",
+                                       "violating_index_by_term": found},
+                       reason="every inspected term violates the uniform "
+                              "bound at some index", caveat=window)
+    if found is not None:
+        return certified(depth, witness={"modulus": found},
                          reason="uniform coefficient bound attained on "
                                 "inspected indices",
                          caveat=None if exhaustive else window)

@@ -22,11 +22,8 @@ from fractions import Fraction
 from .scalar import (
     PRECISION_BUDGET,
     is_rational_scalar,
-    scalar_add,
     scalar_div,
     scalar_is_zero,
-    scalar_mul,
-    scalar_neg,
     scalar_sign,
 )
 from .verdict import UndecidedError, Verdict, certified, unknown
@@ -85,12 +82,12 @@ class RzlNumber:
         if self.finite_support is not None and other.finite_support is not None:
             fs = max(self.finite_support, other.finite_support)
         return RzlNumber(min(self.low, other.low),
-                         lambda i: scalar_add(self[i], other[i]), fs)
+                         lambda i: self[i] + other[i], fs)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RzlNumber(self.low, lambda i: scalar_neg(self[i]), self.finite_support)
+        return RzlNumber(self.low, lambda i: -self[i], self.finite_support)
 
     def __sub__(self, other):
         other = as_number(other)
@@ -120,16 +117,7 @@ class RzlNumber:
                 hi = min(hi, self.finite_support)
             if other.finite_support is not None:
                 lo = max(lo, k - other.finite_support)
-            acc = 0
-            for i in range(lo, hi + 1):
-                a = self[i]
-                if scalar_is_zero(a):
-                    continue
-                b = other[k - i]
-                if scalar_is_zero(b):
-                    continue
-                acc = scalar_add(acc, scalar_mul(a, b))
-            return acc
+            return convolution_sum(self.__getitem__, other.__getitem__, k, lo, hi)
 
         return RzlNumber(low, conv, fs)
 
@@ -283,20 +271,20 @@ def recurrence(step, first):
     return at
 
 
-def recurrence_sum(c, seq, k: int, top: int | None = None):
-    """sum(c(j) * seq(k - j), j = 1 .. k), stopping at j = top: the inner
-    sum of a convolution recurrence.  Terms with an exact zero factor are
-    skipped, as in the Cauchy product, so a zero weight never forces the
-    coefficient it would multiply."""
+def convolution_sum(a, b, k: int, lo: int, hi: int):
+    """sum(a(i) * b(k - i), i = lo .. hi): the inner sum of the Cauchy
+    product and of every convolution recurrence.  Terms with an exact zero
+    factor are skipped, and b is not read where a is an exact zero, so a
+    zero weight never forces the coefficient it would multiply."""
     acc = 0
-    for j in range(1, k + 1 if top is None else min(k, top) + 1):
-        a = c(j)
-        if scalar_is_zero(a):
+    for i in range(lo, hi + 1):
+        x = a(i)
+        if scalar_is_zero(x):
             continue
-        b = seq(k - j)
-        if scalar_is_zero(b):
+        y = b(k - i)
+        if scalar_is_zero(y):
             continue
-        acc = scalar_add(acc, scalar_mul(a, b))
+        acc += x * y
     return acc
 
 
@@ -356,8 +344,8 @@ def inverse(x: RzlNumber, depth: int = DEFAULT_DEPTH,
     # coefficient of eps**j in (1+u), for j >= 1
     rel = functools.cache(lambda j: scalar_div(x[m + j], a, budget))
     top = None if x.finite_support is None else x.finite_support - m
-    w_at = recurrence(
-        lambda t, w: scalar_neg(recurrence_sum(rel, w.__getitem__, t, top)), 1)
+    w_at = recurrence(lambda t, w: -convolution_sum(
+        rel, w.__getitem__, t, 1, t if top is None else min(t, top)), 1)
 
     fs = None
     if x.finite_support is not None and x.finite_support <= m:
@@ -367,7 +355,7 @@ def inverse(x: RzlNumber, depth: int = DEFAULT_DEPTH,
         t = i + m
         if t < 0:
             return 0
-        return scalar_mul(inv_a, w_at(t))
+        return inv_a * w_at(t)
 
     return RzlNumber(-m, fn, finite_support=fs)
 

@@ -28,7 +28,6 @@ from .scalar import (
     is_rational_scalar,
     scalar_abs_within,
     scalar_sign,
-    scalar_sub,
 )
 from .verdict import UndecidedError, Verdict, certified, refuted, unknown
 
@@ -238,7 +237,7 @@ def ball_contains(b: BallSpec, z: RzlNumber, depth: int = DEFAULT_DEPTH,
             raise ValueError("e-ball radius must be a certified positive infinitesimal")
         return within_radius(d, b.radius, depth, budget)
     if b.kind is BallKind.PSI:
-        gap = scalar_sub(z[0], b.center[0])
+        gap = z[0] - b.center[0]
         inside = scalar_abs_within(gap, Fraction(1, b.n), budget)
         if inside is True:
             return certified(depth, witness=("st-gap", gap))

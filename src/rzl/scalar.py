@@ -6,6 +6,12 @@ approximations.  A `CompReal` never answers equality questions; callers get
 brackets and may escalate precision, which is why every sign decision in
 this package is allowed to come back undecided.
 
+Scalars mix through the ordinary operators ``+ - *`` and unary ``-``, the
+package's one mixed-scalar arithmetic: int and Fraction return
+NotImplemented for a `CompReal` partner, so `CompReal`'s reflected
+operators take over.  Exact identities stay exact: x+0, x-0 and x*1 are x
+itself, x*0 is the exact int 0, and x*(-1) and 0-x are -x.
+
 A `CompReal` is a node of a DAG evaluated in midpoint-radius ("ball")
 arithmetic at one working precision p, the scheme of Mueller's iRRAM ("The
 iRRAM: exact arithmetic in C++", 2000) and van der Hoeven's "Ball
@@ -133,43 +139,47 @@ class CompReal:
         tag = f"neg:{self.tag}" if self.tag != "derived" else "derived"
         return CompReal._node(_neg_ball, (self,), None, tag=tag)
 
-    def __add__(self, other) -> "CompReal":
+    def __add__(self, other):
         if not isinstance(other, CompReal):
-            if isinstance(other, numbers.Rational) and other == 0:
-                return self
-            other = _promote(other)
-            if other is NotImplemented:
+            if not is_rational_scalar(other):
                 return NotImplemented
+            if other == 0:
+                return self
+            other = CompReal.from_rational(other)
         return CompReal._node(_add_ball, (self, other), None)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _promote(other)
-        if other is NotImplemented:
+        # negating first lets a rational zero short-circuit in `+`
+        if not (isinstance(other, CompReal) or is_rational_scalar(other)):
             return NotImplemented
-        return self + (-other)
+        return self + -other
 
     def __rsub__(self, other):
-        other = _promote(other)
-        if other is NotImplemented:
+        if not is_rational_scalar(other):
             return NotImplemented
-        return other + (-self)
+        return -self + other
 
-    def __mul__(self, other) -> "CompReal":
+    def __mul__(self, other):
         if isinstance(other, CompReal):
             return CompReal._node(_mul_ball, (self, other), None)
-        if isinstance(other, numbers.Rational):
-            return self._scale(_as_fraction(other))
+        if is_rational_scalar(other):
+            return self._scale(other)
         return NotImplemented
 
     __rmul__ = __mul__
 
-    def _scale(self, q: Fraction) -> "CompReal":
+    def _scale(self, q):
+        """self*q for a rational q: 0 gives the exact int 0, 1 gives self
+        and -1 its negation, so exact zeros and provenance tags survive."""
         if q == 0:
-            return CompReal.from_rational(0)
+            return 0
         if q == 1:
             return self
+        if q == -1:
+            return -self
+        q = _as_fraction(q)
         tag = f"scale({q}):{self.tag}" if self.tag != "derived" else "derived"
         return CompReal._node(_scale_ball, (self,), q, tag=tag)
 
@@ -199,12 +209,8 @@ class CompReal:
         return f"CompReal({float(self.approx(10 ** 6)):.6g}, tag={self.tag!r})"
 
 
-def _promote(x):
-    if isinstance(x, CompReal):
-        return x
-    if isinstance(x, numbers.Rational):
-        return CompReal.from_rational(x)
-    return NotImplemented
+def _promote(x) -> CompReal:
+    return x if isinstance(x, CompReal) else CompReal.from_rational(x)
 
 
 # ---------------------------------------------------------------------------
@@ -301,8 +307,10 @@ def creal_from_rational(q) -> CompReal:
 
 
 # ---------------------------------------------------------------------------
-# Mixed-scalar helpers.  A "scalar" is an exact rational or a CompReal;
-# rational pairs stay exact, anything touching a CompReal is promoted.
+# Scalar helpers.  A "scalar" is an exact rational or a CompReal, and the
+# ordinary operators above are its arithmetic.  These answer what those
+# operators cannot: division by a certified divisor, signs, tri-state
+# equality and rendering.
 # ---------------------------------------------------------------------------
 
 def is_rational_scalar(x) -> bool:
@@ -312,39 +320,6 @@ def is_rational_scalar(x) -> bool:
     return t is int or t is Fraction or isinstance(x, numbers.Rational)
 
 
-def scalar_add(a, b):
-    if is_rational_scalar(a):
-        if is_rational_scalar(b):
-            return a + b
-        if a == 0:
-            return b
-    elif is_rational_scalar(b) and b == 0:
-        return a
-    return _promote(a) + _promote(b)
-
-
-def scalar_sub(a, b):
-    if is_rational_scalar(a) and is_rational_scalar(b):
-        return a - b
-    return scalar_add(a, scalar_neg(b))
-
-
-def scalar_neg(a):
-    return -a if is_rational_scalar(a) else -_promote(a)
-
-
-def scalar_mul(a, b):
-    """Product; an exact zero factor gives the exact 0, never a
-    computable-real zero whose sign could not be decided."""
-    if is_rational_scalar(a):
-        if is_rational_scalar(b):
-            return a * b
-        return 0 if a == 0 else _promote(b) * a
-    if is_rational_scalar(b) and b == 0:
-        return 0
-    return _promote(a) * b
-
-
 def scalar_div(a, b, budget: int = PRECISION_BUDGET):
     """Exact division for rationals; bracket-certified reciprocal otherwise."""
     if is_rational_scalar(b):
@@ -352,12 +327,11 @@ def scalar_div(a, b, budget: int = PRECISION_BUDGET):
             raise ZeroDivisionError("scalar division by zero")
         if is_rational_scalar(a):
             return Fraction(a) / Fraction(b)
-        return scalar_mul(a, 1 / Fraction(b))
-    bc = _promote(b)
-    clear = bc.bracket_clear_of((0,), budget)
+        return a * (1 / Fraction(b))
+    clear = b.bracket_clear_of((0,), budget)
     if clear is None:
         raise ZeroDivisionError("divisor sign undecided within precision budget")
-    return scalar_mul(a, bc.reciprocal(min(abs(clear[0]), abs(clear[1]))))
+    return a * b.reciprocal(min(abs(clear[0]), abs(clear[1])))
 
 
 def scalar_sign(x, budget: int = PRECISION_BUDGET):

@@ -1,6 +1,7 @@
 """Exact rational scalars and computable-real brackets."""
 
 import math
+import operator
 import random
 import sys
 import threading
@@ -15,7 +16,6 @@ from rzl.scalar import (
     scalar_abs_within,
     scalar_div,
     scalar_eq,
-    scalar_mul,
     scalar_sign,
     scalar_str,
 )
@@ -148,8 +148,39 @@ def test_scalar_eq_tristate():
 
 def test_scalar_mul_preserves_provenance_through_trivial_ops():
     c = creal_elementary("sin", 2)
-    assert scalar_mul(c, F(1)) is c
-    assert scalar_eq(scalar_mul(c, F(1, 2)), scalar_mul(c, F(1, 2))) is True
+    assert c * F(1) is c
+    assert scalar_eq(c * F(1, 2), c * F(1, 2)) is True
+
+
+def _leaf(q, tag):
+    """A computable real of exact value q whose approximations never are q."""
+    return CompReal(lambda n: q + F(1, 3 * n), tag=tag)
+
+
+OPERANDS = {   # name -> (operand, its exact value)
+    "tagged": lambda: (_leaf(F(2, 3), "leaf:2/3"), F(2, 3)),
+    "derived": lambda: (_leaf(F(1, 2), "leaf:1/2") * _leaf(F(4, 3), "leaf:4/3"), F(2, 3)),
+}
+
+
+@pytest.mark.parametrize("zero,one,partner", [(0, 1, 3), (F(0), F(1), F(-2, 7))],
+                         ids=["int", "Fraction"])
+@pytest.mark.parametrize("name", OPERANDS)
+def test_operator_rules(name, zero, one, partner):
+    x, v = OPERANDS[name]()
+    assert x - zero is x and x + zero is x and zero + x is x
+    assert x * one is x and one * x is x
+    assert type(x * zero) is int and type(zero * x) is int
+    neg = -x
+    assert (x * -one).tag == (zero - x).tag == neg.tag
+    assert (x * -one).ball(64) == (zero - x).ball(64) == neg.ball(64)
+    if name == "tagged":
+        # x*(-1) - (-x) is exactly 0, so only a provenance tag certifies it
+        assert scalar_eq(x * -one, neg) is True
+    for op in (operator.add, operator.sub, operator.mul):
+        for a, b, va, vb in ((x, partner, v, partner), (partner, x, partner, v),
+                             (x, x, v, v)):
+            assert bracket_contains(op(a, b), 10 ** 9, op(va, vb)), (op, a, b)
 
 
 def test_scalar_abs_within():
@@ -170,7 +201,7 @@ def test_creal_reciprocal():
 
 def test_exact_zero_factor_stays_exact():
     c = creal_elementary("sin", 1)
-    for z in (scalar_mul(0, c), scalar_mul(c, 0), scalar_div(0, c)):
+    for z in (0 * c, c * 0, scalar_div(0, c)):
         assert type(z) is int and scalar_sign(z) == 0
 
 

@@ -24,9 +24,7 @@ from rzl.number import (
 from rzl.scalar import (
     creal_elementary,
     is_rational_scalar,
-    scalar_add,
     scalar_is_zero,
-    scalar_mul,
 )
 
 KINDS = ("sin", "cos", "exp")
@@ -51,8 +49,8 @@ def _taylor_coefficients(kind, s):
             facts.append(facts[-1] * len(facts))
         inv_fact = F(1, facts[n])
         if kind == "exp":
-            return scalar_mul(exp_s, inv_fact)
-        return scalar_mul(base[kind][n % 4], inv_fact)
+            return exp_s * inv_fact
+        return base[kind][n % 4] * inv_fact
 
     return coeff
 
@@ -81,7 +79,7 @@ def taylor_shift(kind, x):
             dnk = delta_pow(n)[k]
             if scalar_is_zero(dnk):
                 continue
-            acc = scalar_add(acc, scalar_mul(c, dnk))
+            acc = acc + c * dnk
         return acc
 
     fs = 0 if (x.finite_support is not None and x.finite_support <= 0) else None
