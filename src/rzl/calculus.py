@@ -13,6 +13,7 @@ of nonstandard parts.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -46,21 +47,17 @@ from .verdict import (
     unknown,
 )
 
+_PREDICATES = {"<=": operator.le, "<": operator.lt, "=": operator.eq,
+               ">": operator.gt, ">=": operator.ge}
+
+
 def _compare_scalar(value, op: str, bound, budget: int):
     """Decide St-predicates exactly on rationals, by sign certificate on
     computable reals; raises when undecided."""
     s = scalar_sign(value - Fraction(bound), budget)
     if s is None:
         raise UndecidedError("undecided at depth: standard-part predicate")
-    if op == "<=":
-        return s <= 0
-    if op == "<":
-        return s < 0
-    if op == "=":
-        return s == 0
-    if op == ">":
-        return s > 0
-    return s >= 0
+    return _PREDICATES[op](s, 0)
 
 
 def evaluate(f: E.Expr, x: RzlNumber, depth: int = DEFAULT_DEPTH,

@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Verbs: eval, der, permeate, continuity, converge, classify, inverse.
+Verbs: eval, der, permeate, continuity, converge, classify, inverse, each
+declared once, in `_VERBS`, with its help text, runner and arguments.
 Running with no verb starts a line-oriented read-eval-print loop on stdin.
 
 Exit status: 0 for values and certified verdicts, 2 for refuted, 3 for
@@ -12,6 +13,7 @@ stable JSON object on stdout with exact fraction strings for coefficients.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -120,94 +122,34 @@ def _function_from(text: str) -> E.Expr:
     return node
 
 
-def _emit(report: dict, text_lines: list[str], fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps(report))
-    else:
-        for line in text_lines:
-            print(line)
+def _verdict_lines(head: str, v: Verdict, *fields: str) -> list[str]:
+    """`head: state`, then one indented line per nonempty field of v."""
+    return [f"{head}: {v.state.value}"] + \
+        [f"  {name}: {getattr(v, name)}" for name in fields if getattr(v, name)]
 
 
-def _common(sub):
-    sub.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
-    sub.add_argument("--eps-digits", type=int, default=DEFAULT_EPS_DIGITS)
-    sub.add_argument("--format", choices=("text", "json"), default="text")
-    sub.add_argument("--grossone", action="store_true",
-                     help="echo the infinite unit as the circled-one symbol")
+# Each runner returns (JSON report, text lines, exit status).
 
-
-def _build_parser() -> argparse.ArgumentParser:
-    ap = _ArgumentParser(
-        prog="rzl",
-        description="exact arithmetic with infinitesimal and infinite parts",
-        epilog=_DASH_HINT)
-    subs = ap.add_subparsers(dest="command")
-
-    p = subs.add_parser("eval", help="evaluate an expression")
-    p.add_argument("expression")
-    p.add_argument("--at", default=None, help="evaluation point (expression)")
-    _common(p)
-
-    p = subs.add_parser("der", help="quotient derivative at a point")
-    p.add_argument("expression")
-    p.add_argument("--at", default="0")
-    _common(p)
-
-    p = subs.add_parser("permeate", help="derivative report with permeation")
-    p.add_argument("expression")
-    p.add_argument("--at", default="0")
-    _common(p)
-
-    p = subs.add_parser("continuity", help="graded (k,n) continuity check")
-    p.add_argument("expression")
-    p.add_argument("--at", default="0")
-    p.add_argument("--k", type=int, default=0)
-    p.add_argument("--n", type=int, default=0)
-    _common(p)
-
-    p = subs.add_parser("converge", help="sequence convergence checks")
-    p.add_argument("mode", choices=("cc", "hc", "rc", "cauchy"))
-    p.add_argument("--seq", required=True, help="term expression in n")
-    p.add_argument("--limit", default="0")
-    p.add_argument("--radius", action="append", default=None,
-                   help="radius expression (repeatable; hc and cauchy)")
-    p.add_argument("--terms", type=int, default=24)
-    p.add_argument("--indices", type=int, default=16)
-    _common(p)
-
-    p = subs.add_parser("classify", help="infinitesimal / appreciable / infinite")
-    p.add_argument("expression")
-    _common(p)
-
-    p = subs.add_parser("inverse", help="multiplicative inverse")
-    p.add_argument("expression")
-    p.add_argument("--at", default=None)
-    _common(p)
-
-    return ap
-
-
-def _run_eval(args) -> int:
+def _run_eval(args):
     node, value = _value_from(args.expression, args.at, args.depth)
     echo = args.expression.strip() if isinstance(node, RzlNumber) \
         else E.to_text(node, grossone=args.grossone)
     rendered = render(value, args.eps_digits)
-    report = {"command": "eval", "echo": echo,
+    report = {"command": args.command, "echo": echo,
               "result": _number_json(value, args.eps_digits),
               "verdict": None, "error": None}
-    lines = ([echo] if args.grossone else []) + [rendered]
-    _emit(report, lines, args.format)
-    return 0
+    return report, ([echo] if args.grossone else []) + [rendered], 0
 
 
-def _run_der(args, with_permeation: bool) -> int:
+def _run_der(args):
+    """`der` and `permeate`: the same report; only `permeate` exits by
+    the membership verdict."""
     f = _function_from(args.expression)
     point = _point_from(args.at, args.depth)
     rep = permeate(f, point, args.depth)
-    echo = E.to_text(f, grossone=args.grossone)
     report = {
-        "command": "permeate" if with_permeation else "der",
-        "echo": echo,
+        "command": args.command,
+        "echo": E.to_text(f, grossone=args.grossone),
         "result": _number_json(rep.der_value, args.eps_digits),
         "report": {
             "standard_part": scalar_str(rep.standard_part),
@@ -222,33 +164,25 @@ def _run_der(args, with_permeation: bool) -> int:
         "error": None,
     }
     lines = [f"der = {render(rep.der_value, args.eps_digits)}",
-             f"standard part = {scalar_str(rep.standard_part)}"]
-    if rep.permeated is not None:
-        lines.append(f"permeated = {scalar_str(rep.permeated)}")
-    else:
-        lines.append(f"permeated: absent ({rep.reason})")
-    _emit(report, lines, args.format)
-    if with_permeation:
-        return _EXIT[rep.in_e.state]
-    return 0
+             f"standard part = {scalar_str(rep.standard_part)}",
+             f"permeated = {scalar_str(rep.permeated)}" if rep.permeated is not None
+             else f"permeated: absent ({rep.reason})"]
+    return report, lines, _EXIT[rep.in_e.state] if args.command == "permeate" else 0
 
 
-def _run_continuity(args) -> int:
+def _run_continuity(args):
     f = _function_from(args.expression)
     point = _point_from(args.at, args.depth)
     v = check_kn_continuity(ContinuityQuery(f, point, args.k, args.n,
                                             GridBudget()), args.depth)
-    report = {"command": "continuity", "echo": E.to_text(f, grossone=args.grossone),
+    report = {"command": args.command, "echo": E.to_text(f, grossone=args.grossone),
               "k": args.k, "n": args.n,
               "verdict": _verdict_json(v), "error": None}
-    lines = [f"({args.k},{args.n})-continuity: {v.state.value}"]
-    if v.reason:
-        lines.append(f"  reason: {v.reason}")
-    _emit(report, lines, args.format)
-    return _EXIT[v.state]
+    return report, _verdict_lines(f"({args.k},{args.n})-continuity", v, "reason"), \
+        _EXIT[v.state]
 
 
-def _run_converge(args) -> int:
+def _run_converge(args):
     term = parse_sequence(args.seq)
     seq = RzlSequence(term, description=args.seq)
     limit = _point_from(args.limit, args.depth)
@@ -263,38 +197,80 @@ def _run_converge(args) -> int:
     else:
         v = hyper_cauchy_check(seq, radii, args.terms, args.depth,
                                limit_hint=limit)
-    report = {"command": f"converge {args.mode}", "sequence": args.seq,
+    report = {"command": f"{args.command} {args.mode}", "sequence": args.seq,
               "limit": args.limit, "radii": radii_text,
               "terms": args.terms, "indices": args.indices,
               "verdict": _verdict_json(v), "error": None}
-    lines = [f"{args.mode}: {v.state.value}"]
-    if v.reason:
-        lines.append(f"  reason: {v.reason}")
-    if v.caveat:
-        lines.append(f"  caveat: {v.caveat}")
-    _emit(report, lines, args.format)
-    return _EXIT[v.state]
+    return report, _verdict_lines(args.mode, v, "reason", "caveat"), _EXIT[v.state]
 
 
-def _run_classify(args) -> int:
+def _run_classify(args):
     _, value = _value_from(args.expression, None, args.depth)
     v = classify_number(value, args.depth)
-    report = {"command": "classify",
+    report = {"command": args.command,
               "result": _number_json(value, args.eps_digits),
               "verdict": _verdict_json(v), "error": None}
-    lines = [v.value if v.is_certified else f"unknown ({v.reason})"]
-    _emit(report, lines, args.format)
-    return _EXIT[v.state]
+    return report, [v.value if v.is_certified else f"unknown ({v.reason})"], _EXIT[v.state]
 
 
-def _run_inverse(args) -> int:
+def _run_inverse(args):
     _, value = _value_from(args.expression, args.at, args.depth)
     inv = inverse(value, args.depth)
-    report = {"command": "inverse",
+    report = {"command": args.command,
               "result": _number_json(inv, args.eps_digits),
               "verdict": None, "error": None}
-    _emit(report, [render(inv, args.eps_digits)], args.format)
-    return 0
+    return report, [render(inv, args.eps_digits)], 0
+
+
+def _arg(*flags, **options):
+    return flags, options
+
+
+_EXPRESSION = _arg("expression")
+_AT_ZERO = _arg("--at", default="0")
+
+#: verb -> (help, runner, arguments before the common flags)
+_VERBS = {
+    "eval": ("evaluate an expression", _run_eval,
+             [_EXPRESSION, _arg("--at", default=None, help="evaluation point (expression)")]),
+    "der": ("quotient derivative at a point", _run_der, [_EXPRESSION, _AT_ZERO]),
+    "permeate": ("derivative report with permeation", _run_der, [_EXPRESSION, _AT_ZERO]),
+    "continuity": ("graded (k,n) continuity check", _run_continuity,
+                   [_EXPRESSION, _AT_ZERO, _arg("--k", type=int, default=0),
+                    _arg("--n", type=int, default=0)]),
+    "converge": ("sequence convergence checks", _run_converge,
+                 [_arg("mode", choices=("cc", "hc", "rc", "cauchy")),
+                  _arg("--seq", required=True, help="term expression in n"),
+                  _arg("--limit", default="0"),
+                  _arg("--radius", action="append", default=None,
+                       help="radius expression (repeatable; hc and cauchy)"),
+                  _arg("--terms", type=int, default=24),
+                  _arg("--indices", type=int, default=16)]),
+    "classify": ("infinitesimal / appreciable / infinite", _run_classify, [_EXPRESSION]),
+    "inverse": ("multiplicative inverse", _run_inverse,
+                [_EXPRESSION, _arg("--at", default=None)]),
+}
+
+
+@functools.cache
+def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process from `_VERBS`."""
+    ap = _ArgumentParser(
+        prog="rzl",
+        description="exact arithmetic with infinitesimal and infinite parts",
+        epilog=_DASH_HINT)
+    subs = ap.add_subparsers(dest="command")
+    for name, (help_text, run, arguments) in _VERBS.items():
+        p = subs.add_parser(name, help=help_text)
+        for flags, options in arguments:
+            p.add_argument(*flags, **options)
+        p.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
+        p.add_argument("--eps-digits", type=int, default=DEFAULT_EPS_DIGITS)
+        p.add_argument("--format", choices=("text", "json"), default="text")
+        p.add_argument("--grossone", action="store_true",
+                       help="echo the infinite unit as the circled-one symbol")
+        p.set_defaults(run=run)
+    return ap
 
 
 def _repl() -> int:
@@ -316,34 +292,19 @@ def _repl() -> int:
 
 
 def main(argv=None) -> int:
-    ap = _build_parser()
-    args = ap.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     if args.command is None:
         return _repl()
     try:
-        if args.command == "eval":
-            return _run_eval(args)
-        if args.command == "der":
-            return _run_der(args, with_permeation=False)
-        if args.command == "permeate":
-            return _run_der(args, with_permeation=True)
-        if args.command == "continuity":
-            return _run_continuity(args)
-        if args.command == "converge":
-            return _run_converge(args)
-        if args.command == "classify":
-            return _run_classify(args)
-        if args.command == "inverse":
-            return _run_inverse(args)
-        ap.error(f"unknown command {args.command!r}")
+        report, lines, code = args.run(args)
     except _ERRORS as exc:
-        fmt = getattr(args, "format", "text")
-        if fmt == "json":
+        if args.format == "json":
             print(json.dumps({"command": args.command, "error": _message(exc)}))
         else:
             print(f"error: {_message(exc)}", file=sys.stderr)
         return 1
-    return 0
+    print(json.dumps(report) if args.format == "json" else "\n".join(lines))
+    return code
 
 
 if __name__ == "__main__":

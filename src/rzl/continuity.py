@@ -134,21 +134,6 @@ def _certify(f: E.Expr, c: RzlNumber, rules: dict, depth: int,
     return certified(depth, witness=witness, reason=reason)
 
 
-def _displacements(radius: RzlNumber, order_floor: int, budget: GridBudget,
-                   depth: int, precision: int):
-    """Rational-stream displacements certified strictly inside the radius."""
-    out = []
-    for j in range(order_floor, budget.max_index + 1):
-        for q in budget.coefficients:
-            for sgn in (1, -1):
-                d = monomial(sgn * q * _HALF, j)
-                if lex_less(d if sgn > 0 else -d, radius, depth, precision).is_certified:
-                    out.append(d)
-                if len(out) >= budget.count:
-                    return out
-    return out
-
-
 def _stream_tolerances(coefficients, orders):
     """(label, a*eps^j) for every order j and coefficient a."""
     return [(f"{a}*eps^{j}", monomial(a, j)) for j in orders for a in coefficients]
@@ -156,21 +141,17 @@ def _stream_tolerances(coefficients, orders):
 
 def _stream_radii(budget: GridBudget, orders, depth: int, precision: int):
     """(label, candidates) for the radii a*eps^j on the grid; `candidates()`
-    lists the grid displacements certified inside the radius."""
-    return [(f"{a}*eps^{j}",
-             lambda a=a, j=j: _displacements(monomial(a, j), j, budget, depth, precision))
+    lists the first `budget.count` grid displacements ±(q/2)*eps^i, i from
+    the lowest order up, certified strictly inside the radius."""
+    grid = [(monomial(q * _HALF, i), monomial(-q * _HALF, i))
+            for i in range(min(orders), budget.max_index + 1) for q in budget.coefficients]
+
+    def candidates(radius):
+        return [d for pair in grid
+                if lex_less(pair[0], radius, depth, precision).is_certified
+                for d in pair][:budget.count]
+    return [(f"{a}*eps^{j}", lambda r=monomial(a, j): candidates(r))
             for j in orders for a in budget.coefficients]
-
-
-def _violates(f: E.Expr, fc, x: RzlNumber, tolerance: RzlNumber,
-              depth: int, precision: int) -> bool:
-    """Is f(x) - f(c) provably outside the tolerance?  `fc()` gives f(c);
-    the caller memoizes it, so one query evaluates f(c) once."""
-    try:
-        gap = evaluate(f, x, depth, precision) - fc()
-    except UndecidedError:
-        return False
-    return within_radius(gap, tolerance, depth, precision).is_refuted
 
 
 def _refute(f: E.Expr, c: RzlNumber, tolerances, radii, tolerance_key: str,
@@ -180,17 +161,28 @@ def _refute(f: E.Expr, c: RzlNumber, tolerances, radii, tolerance_key: str,
 
     `tolerances` holds (label, tolerance) pairs and `radii` holds (label,
     candidates) pairs, `candidates()` listing displacements inside that
-    radius; each list is built once per query, when first needed.  The
-    witness names the tolerance under `tolerance_key` and, per radius, its
-    label and the first displacement d with f(c + d) outside the tolerance.
+    radius; each list is built once per query, when first needed, and
+    f(c + d) - f(c) once per displacement d.  The witness names the
+    tolerance under `tolerance_key` and, per radius, its label and the
+    first displacement d with f(c + d) outside the tolerance.
     """
     fc = functools.cache(lambda: evaluate(f, c, depth, precision))
     radii = [(label, functools.cache(candidates)) for label, candidates in radii]
+    gaps = {}
+
+    def violates(d, tol):
+        if d not in gaps:   # None when f(c + d) - f(c) is undecided
+            try:
+                gaps[d] = evaluate(f, c + d, depth, precision) - fc()
+            except UndecidedError:
+                gaps[d] = None
+        return gaps[d] is not None and \
+            within_radius(gaps[d], tol, depth, precision).is_refuted
+
     for tol_label, tol in tolerances:
         rounds = []
         for label, candidates in radii:
-            hit = next((d for d in candidates()
-                        if _violates(f, fc, c + d, tol, depth, precision)), None)
+            hit = next((d for d in candidates() if violates(d, tol)), None)
             if hit is None:
                 break
             rounds.append((label, repr(hit)))
@@ -257,9 +249,12 @@ def check_ed_class(f: E.Expr, point: RzlNumber, depth: int = DEFAULT_DEPTH,
         return cert
     # refutation: a tolerance 1/n violated inside every rational radius 1/m
     tolerances = [(f"1/{n}", from_rational(Fraction(1, n))) for n in (1, 2, 4)]
-    radii = [(f"1/{m}", lambda m=m: [from_rational(sgn * q * _HALF * Fraction(1, m))
-                                     for q in budget.coefficients for sgn in (1, -1)])
-             for m in (1, 2, 4, 8, 16, 32)]
+    points = {}   # the radii share grid values: one displacement per value
+
+    def grid(m):
+        return [points.setdefault(v, from_rational(v)) for v in
+                (sgn * q * _HALF / m for q in budget.coefficients for sgn in (1, -1))]
+    radii = [(f"1/{m}", lambda m=m: grid(m)) for m in (1, 2, 4, 8, 16, 32)]
     return _refute(f, c, tolerances, radii, "tolerance",
                    "neighbourhood family budgeted", depth, precision)
 

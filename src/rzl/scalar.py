@@ -349,6 +349,8 @@ def scalar_is_zero(x) -> bool:
 
 def scalar_eq(a, b, budget: int = PRECISION_BUDGET):
     """Tri-state equality: True/False when certified, None when undecidable."""
+    if a is b:
+        return True
     if is_rational_scalar(a) and is_rational_scalar(b):
         return a == b
     pa, pb = _promote(a), _promote(b)

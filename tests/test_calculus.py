@@ -278,3 +278,31 @@ def test_permeate_computes_the_derivative_once(monkeypatch):
     assert sum(1 for name, t in calls if name == "evaluate" and t is f) == 2
     assert [name for name, _ in calls].count("der") == 1
     assert [name for name, _ in calls].count("classical") == 1
+
+
+@pytest.mark.parametrize("op, below, at, above", [
+    ("<=", True, True, False),
+    ("<", True, False, False),
+    ("=", False, True, False),
+    (">", False, False, True),
+    (">=", False, True, True),
+])
+def test_compare_scalar_predicates(op, below, at, above):
+    from rzl.calculus import _compare_scalar
+    from rzl.scalar import creal_elementary, creal_from_rational
+    half = F(1, 2)
+    assert _compare_scalar(half, op, 1, 2 ** 12) is below
+    assert _compare_scalar(half, op, half, 2 ** 12) is at
+    assert _compare_scalar(half, op, 0, 2 ** 12) is above
+    c = creal_elementary("sin", F(1, 3))            # about 0.327
+    assert _compare_scalar(c, op, 1, 2 ** 12) is below
+    assert _compare_scalar(c, op, 0, 2 ** 12) is above
+    with pytest.raises(UndecidedError):     # equality is never certified
+        _compare_scalar(creal_from_rational(half), op, half, 2 ** 12)
+
+
+def test_microstable_at_an_untagged_computable_real():
+    from rzl.number import from_scalar
+    from rzl.scalar import creal_elementary
+    c = creal_elementary("sin", F(1, 3)) * creal_elementary("cos", F(1, 3))
+    assert is_microstable(X, [from_scalar(c)]).is_certified

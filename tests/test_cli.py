@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from rzl.cli import main
+from rzl.cli import _VERBS, _build_parser, main
 
 
 def run(capsys, *argv):
@@ -168,3 +168,25 @@ def test_repl_goes_on_after_deep_sum(capsys, monkeypatch):
     out = capsys.readouterr()
     assert "error: input too deeply nested" in out.err
     assert out.out.strip() == "^0, 1, 0, 0, 0, 0, 0, ..."
+
+
+def test_parser_is_built_once():
+    assert _build_parser() is _build_parser()
+
+
+def test_no_state_carries_over_between_calls(capsys):
+    # an appended --radius must not leak into the next call's default
+    expected = run(capsys, "converge", "hc", "--seq", "1/n", "--radius", "eps",
+                   "--format", "json")
+    run(capsys, "converge", "hc", "--seq", "1/n", "--radius", "1/4")
+    got = run(capsys, "converge", "hc", "--seq", "1/n", "--format", "json")
+    assert got == expected
+    assert json.loads(got[1])["radii"] == ["eps"]
+
+
+@pytest.mark.parametrize("argv", [[]] + [[verb] for verb in _VERBS])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(" ".join(["usage: rzl", *argv]))

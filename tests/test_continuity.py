@@ -129,3 +129,28 @@ def test_constancy_contrapositive():
                      (X ** 2, one())):
         grid = check_kn_grid(f, point, 2, 2)
         assert any(v.is_refuted for v in grid.values())
+
+
+def test_refuter_reads_f_once_per_grid_point(monkeypatch):
+    # f(c) once per query and f(c + d) once per grid point c + d the query
+    # reads, whatever the number of tolerances and radii
+    from rzl import continuity
+    calls = []
+    real = continuity.evaluate
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(continuity, "evaluate", counted)
+    c = from_rational(F(1, 3))
+    check_kn_grid(E.Sin(X), c, 2, 2)
+    assert len(calls) == 225
+    del calls[:]
+    check_ed(E.Sin(X), c)
+    assert len(calls) == 41
+    # the radii 1/m share grid values, such as 1/4 for q = 1/2, m = 1 and
+    # for q = 1, m = 2
+    del calls[:]
+    check_ed_class(E.Sin(X), c)
+    assert len(calls) == 11

@@ -248,3 +248,13 @@ def test_psi_ball_with_computable_real_center():
     boundary_center = from_rational(F(1, 50))    # gap exactly at the radius
     assert ball_contains(psi_ball(boundary_center, 50), edge,
                          budget=2 ** 10).is_unknown
+
+
+def test_st_separation_witness_for_a_computable_real():
+    mpmath = pytest.importorskip("mpmath")
+    from rzl.number import from_scalar
+    from rzl.scalar import creal_elementary
+    v = distinguishable(from_scalar(creal_elementary("sin", F(1, 3))), zero(), "st")
+    assert v.is_certified and v.witness == ("st-ball-n", 26)
+    with mpmath.workdps(50):
+        assert mpmath.mpf(1) / 26 < abs(mpmath.sin(mpmath.mpf(1) / 3)) / 2

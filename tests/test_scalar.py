@@ -260,3 +260,48 @@ def test_threads_share_one_ball_dag():
     assert not any(t.is_alive() for t in threads)
     assert len(results) == 4
     assert set(results) == {_inverse_two_plus_sin()[30].approx(10 ** 30)}
+
+
+def test_scalar_eq_of_a_value_with_itself():
+    # the tag rule skips derived nodes, so only identity decides these; c*1
+    # is c itself.  -(-c) is a new node whose difference from c is exactly
+    # 0, which no bracket certifies
+    c = creal_elementary("sin", F(1, 3)) * creal_elementary("cos", F(1, 3))
+    assert c.tag == "derived"
+    assert scalar_eq(c, c) is True
+    assert scalar_eq(c, c * 1) is True
+    assert scalar_eq(-(-c), c) is None
+
+
+def test_approx_retries_at_a_higher_precision(monkeypatch):
+    # the denominator's certified lower bound is 1e-7 while its value is
+    # about 4.7e-6, so the reciprocal's ball at the first working precision
+    # is too wide and approx raises the precision
+    mpmath = pytest.importorskip("mpmath")
+    x = (creal_elementary("sin", F(1, 3)) - F(32719, 100000)).reciprocal(F(1, 10 ** 7))
+    precisions = []
+    ball = CompReal.ball
+
+    def recorded(self, p):
+        if self is x:
+            precisions.append(p)
+        return ball(self, p)
+
+    monkeypatch.setattr(CompReal, "ball", recorded)
+    with mpmath.workdps(50):
+        v = 1 / (mpmath.sin(mpmath.mpf(1) / 3) - mpmath.mpf(32719) / 100000)
+        for n in (10, 2 ** 64):
+            del precisions[:]
+            a = x.approx(n)
+            assert len(set(precisions)) >= 2, n
+            assert abs(mpmath.mpf(a.numerator) / a.denominator - v) <= mpmath.mpf(1) / n
+
+
+def test_scalar_str_below_the_render_cap():
+    # exp(-60) ~ 8.8e-27: the bracket at 2^100 excludes 0 with few digits
+    # to spare, so the digits come from an approximation at a higher one
+    mpmath = pytest.importorskip("mpmath")
+    text = scalar_str(creal_elementary("exp", F(-60)))
+    assert text == "~8.75651e-27"
+    with mpmath.workdps(50):
+        assert text == "~" + mpmath.nstr(mpmath.exp(-60), 6)
