@@ -187,16 +187,17 @@ def _run_converge(args):
     seq = RzlSequence(term, description=args.seq)
     limit = _point_from(args.limit, args.depth)
     radii_text = args.radius if args.radius else ["eps"]
-    radii = [_point_from(t, args.depth) for t in radii_text]
     if args.mode == "cc":
         v = cc_check(seq, limit, args.terms, args.depth)
-    elif args.mode == "hc":
-        v = hc_check(seq, limit, radii, args.terms, args.depth)
     elif args.mode == "rc":
         v = rc_check(seq, limit, args.terms, args.indices, args.depth)
-    else:
-        v = hyper_cauchy_check(seq, radii, args.terms, args.depth,
-                               limit_hint=limit)
+    else:   # only hc and cauchy read radii
+        radii = [_point_from(t, args.depth) for t in radii_text]
+        if args.mode == "hc":
+            v = hc_check(seq, limit, radii, args.terms, args.depth)
+        else:
+            v = hyper_cauchy_check(seq, radii, args.terms, args.depth,
+                                   limit_hint=limit)
     report = {"command": f"{args.command} {args.mode}", "sequence": args.seq,
               "limit": args.limit, "radii": radii_text,
               "terms": args.terms, "indices": args.indices,

@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 from enum import Enum
 from fractions import Fraction
+from math import gcd
 
 from .scalar import (
     PRECISION_BUDGET,
@@ -275,16 +276,48 @@ def convolution_sum(a, b, k: int, lo: int, hi: int):
     """sum(a(i) * b(k - i), i = lo .. hi): the inner sum of the Cauchy
     product and of every convolution recurrence.  Terms with an exact zero
     factor are skipped, and b is not read where a is an exact zero, so a
-    zero weight never forces the coefficient it would multiply."""
-    acc = 0
+    zero weight never forces the coefficient it would multiply.
+
+    While both factors are int or Fraction, the terms add up as one integer
+    numerator over a running common denominator, normalised once at the
+    end.  From the first computable-real term on, the sum goes through the
+    scalar operators.  The result is an int when every surviving factor was
+    an int, a Fraction when one was a Fraction, and the int 0 when no term
+    survives: the same value and type as adding the terms one by one.
+    """
+    num, den, frac = 0, 1, False   # the exact terms so far sum to num/den
+    acc = None                     # the sum, once a term is not exact
     for i in range(lo, hi + 1):
         x = a(i)
-        if scalar_is_zero(x):
+        tx = type(x)
+        if tx is int or tx is Fraction:
+            if not x:
+                continue
+        elif scalar_is_zero(x):
             continue
         y = b(k - i)
-        if scalar_is_zero(y):
+        ty = type(y)
+        if ty is int or ty is Fraction:
+            if not y:
+                continue
+        elif scalar_is_zero(y):
             continue
+        if acc is None:
+            if tx is int and ty is int:
+                num += x * y * den
+                continue
+            if (tx is int or tx is Fraction) and (ty is int or ty is Fraction):
+                frac = True
+                d = x.denominator * y.denominator
+                if den % d:
+                    grow = d // gcd(den, d)
+                    num, den = num * grow, den * grow
+                num += x.numerator * y.numerator * (den // d)
+                continue
+            acc = Fraction(num, den) if frac else num
         acc += x * y
+    if acc is None:
+        return Fraction(num, den) if frac else num
     return acc
 
 

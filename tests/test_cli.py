@@ -56,6 +56,26 @@ def test_converge_hc_refuted(capsys):
     assert code == 2 and "refuted" in out
 
 
+def test_converge_ignores_radius_outside_hc_and_cauchy(capsys):
+    # cc and rc use no radius, so a radius they cannot evaluate changes nothing
+    cases = [("cc", "1/n", "1/0"), ("rc", "eps^n", "x")]
+    for mode, seq, radius in cases:
+        for fmt in ("text", "json"):
+            plain = run(capsys, "converge", mode, "--seq", seq, "--format", fmt)
+            given = run(capsys, "converge", mode, "--seq", seq, "--radius", radius,
+                        "--format", fmt)
+            assert plain[0] == given[0] == 0
+            if fmt == "text":
+                assert given[1] == plain[1]
+            else:
+                doc, plain_doc = json.loads(given[1]), json.loads(plain[1])
+                assert doc["verdict"] == plain_doc["verdict"]
+                assert doc["radii"] == [radius] and plain_doc["radii"] == ["eps"]
+    # hc still evaluates its radii
+    code, _, err = run(capsys, "converge", "hc", "--seq", "1/n", "--radius", "1/0")
+    assert code == 1 and "division by zero" in err
+
+
 def test_classify(capsys):
     code, out, _ = run(capsys, "classify", "eps^3")
     assert code == 0 and out.strip() == "infinitesimal"
@@ -99,6 +119,15 @@ def test_json_verdict_payload(capsys):
     doc = json.loads(out)
     assert doc["verdict"]["state"] == "certified"
     assert doc["verdict"]["caveat"].startswith("terms")
+
+
+def test_json_witness_scalars_are_strings(capsys):
+    # a Fraction witness prints as "4", an int would print as 4
+    code, out, _ = run(capsys, "der", "x^2+3*x", "--at", "1/2", "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["verdict"]["witness"] == ["st", "4", "classical", "4"]
+    assert doc["report"]["in_E"]["witness"] == ["st", "4", "classical", "4"]
 
 
 def test_json_error_payload(capsys):

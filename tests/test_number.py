@@ -24,8 +24,8 @@ from rzl import (
     part,
     zero,
 )
-from rzl.number import RzlNumber, compare_finite, eq_up_to
-from rzl.scalar import CompReal
+from rzl.number import RzlNumber, compare_finite, convolution_sum, eq_up_to
+from rzl.scalar import CompReal, scalar_is_zero
 
 
 # -- independent oracle: dict-based polynomial (Laurent) arithmetic -----------------
@@ -320,3 +320,76 @@ def test_concurrent_coefficient_reads_are_consistent():
     with ThreadPoolExecutor(max_workers=8) as pool:
         concurrent = list(pool.map(read, range(0, 40)))
     assert concurrent == serial
+
+
+def test_product_coefficient_types():
+    # the CLI's JSON report prints a Fraction as "4" and an int as 4
+    x = from_rational(F(1, 2)) + epsilon()
+    assert type((x ** 2)[0]) is F and (x ** 2)[0] == F(1, 4)
+    assert type((from_rational(F(2)) * from_rational(F(1, 2)))[0]) is F
+    assert type((from_rational(2) * from_rational(3))[0]) is int
+    cancel = (x * (epsilon() - from_rational(F(1, 2))))[1]   # 1/2 - 1/2
+    assert type(cancel) is F and cancel == 0
+    assert type((x * epsilon() ** 2)[1]) is int               # no term survives
+
+
+def generic_convolution_sum(a, b, k, lo, hi):
+    """Reference: the convolution loop with one scalar operation per term."""
+    acc = 0
+    for i in range(lo, hi + 1):
+        x = a(i)
+        if scalar_is_zero(x):
+            continue
+        y = b(k - i)
+        if scalar_is_zero(y):
+            continue
+        acc += x * y
+    return acc
+
+
+def test_convolution_sum_matches_generic_loop():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    rationals = st.builds(F, st.integers(-2 ** 12, 2 ** 12), st.integers(1, 2 ** 10))
+    tagged = rationals.map(CompReal.from_rational)
+    derived = st.tuples(rationals, rationals).map(
+        lambda qr: CompReal.from_rational(qr[0]) + CompReal.from_rational(qr[1]))
+    exact = st.one_of(rationals, st.integers(-10 ** 6, 10 ** 6),
+                      st.sampled_from([0, F(0), F(3), F(-1), 1]))
+    sequences = st.one_of(st.lists(exact, min_size=1, max_size=10),
+                          st.lists(st.one_of(exact, tagged, derived),
+                                   min_size=1, max_size=10))
+
+    def recorder(values, name, calls):
+        def read(i):
+            calls.append((name, i))
+            return values[i] if 0 <= i < len(values) else 0
+        return read
+
+    @settings(deadline=None, max_examples=300, derandomize=True)
+    @given(st.data())
+    def check(data):
+        xs, ys = data.draw(sequences), data.draw(sequences)
+        k = data.draw(st.integers(0, len(xs) + len(ys)))
+        lo = data.draw(st.integers(-1, len(xs)))
+        hi = data.draw(st.integers(lo, len(xs) + 1))
+        calls, ref_calls = [], []
+        got = convolution_sum(recorder(xs, "a", calls), recorder(ys, "b", calls),
+                              k, lo, hi)
+        want = generic_convolution_sum(recorder(xs, "a", ref_calls),
+                                       recorder(ys, "b", ref_calls), k, lo, hi)
+        assert type(got) is type(want)
+        if isinstance(want, CompReal):
+            assert got.ball(64) == want.ball(64)
+        else:
+            assert got == want
+        assert calls == ref_calls
+        for n, (name, j) in enumerate(calls):
+            if name == "b":   # b(k - i) follows a(i), and a(i) was not an exact zero
+                i = k - j
+                assert n > 0 and calls[n - 1] == ("a", i)
+                assert not scalar_is_zero(xs[i] if 0 <= i < len(xs) else 0)
+
+    check()
