@@ -47,14 +47,17 @@ def _distances(s: RzlSequence, limit: RzlNumber, m_terms: int):
 
 
 def _positive_radii(radii, what: str, depth: int, budget: int) -> list:
+    """(radius, leading index) for each radius, all certified positive."""
     radii = [as_number(r) for r in radii]
     if not radii:
         raise ValueError(f"{what} needs at least one radius")
+    out = []
     for r in radii:
         sv = sign_of(r, depth, budget)
         if not (sv.is_certified and sv.value == POSITIVE):
             raise ValueError("every radius must be certified positive")
-    return radii
+        out.append((r, sv.witness[0]))
+    return out
 
 
 def _per_tolerance(term_verdict, m_terms: int):
@@ -144,17 +147,14 @@ def hc_check(s: RzlSequence, limit: RzlNumber, radii, m_terms: int = 24,
     ds = _distances(s, limit, m_terms)
     window = f"terms 1..{m_terms}"
 
-    from .order import DeltaSpec, in_delta
-
     moduli = {}
     inf_modulus = None
-    for idx, r in enumerate(radii):
+    for idx, (r, lead) in enumerate(radii):
         n0, violated = _per_tolerance(
             lambda n: within_radius(ds[n], r, depth, budget), m_terms)
         if n0 is not None:
             moduli[idx] = n0
-            if inf_modulus is None and \
-                    in_delta(r, DeltaSpec(1, down_closed=True), depth, budget).is_certified:
+            if inf_modulus is None and lead >= 1:   # r is infinitesimal
                 inf_modulus = n0
             continue
         # the first radius neither met nor violated ends the check
@@ -167,7 +167,7 @@ def hc_check(s: RzlSequence, limit: RzlNumber, radii, m_terms: int = 24,
                        reason="radius neither met nor persistently violated",
                        caveat=window)
     return certified(depth, witness={"modulus": moduli,
-                                     "radii": [repr(r) for r in radii],
+                                     "radii": [repr(r) for r, _ in radii],
                                      "infinitesimal_radius_modulus": inf_modulus},
                      reason="per-term certificates yield a modulus for every "
                             "radius", caveat=window)
@@ -247,17 +247,19 @@ def hyper_cauchy_check(s: RzlSequence, radii, m_terms: int = 24,
     limit hint, a hyperconvergence certificate at half the radii transfers
     by the triangle inequality.
     """
-    radii = _positive_radii(radii, "hyper-Cauchy", depth, budget)
+    radii = [r for r, _ in _positive_radii(radii, "hyper-Cauchy", depth, budget)]
     terms = {n: s(n) for n in range(1, m_terms + 1)}
     window = f"terms 1..{m_terms}"
 
-    # eventually constant (exact, needs finite support)
-    for n0 in range(1, m_terms):
-        if all(_exact_zeros(terms[n + 1] - terms[n])
-               for n in range(n0, m_terms)):
-            return certified(depth, witness={"constant_from": n0},
-                             reason="sequence is provably constant from "
-                                    f"term {n0} on", caveat=window)
+    # eventually constant (exact, needs finite support): scan down past
+    # the steps that are provably zero
+    n0 = m_terms
+    while n0 > 1 and _exact_zeros(terms[n0] - terms[n0 - 1]):
+        n0 -= 1
+    if n0 < m_terms:
+        return certified(depth, witness={"constant_from": n0},
+                         reason="sequence is provably constant from "
+                                f"term {n0} on", caveat=window)
 
     if limit_hint is not None:
         half = from_rational(Fraction(1, 2))

@@ -16,17 +16,12 @@ explicit, depth-bounded normalizer is `leading_index`.
 from __future__ import annotations
 
 import functools
+import operator
 from enum import Enum
 from fractions import Fraction
 from math import gcd
 
-from .scalar import (
-    PRECISION_BUDGET,
-    is_rational_scalar,
-    scalar_div,
-    scalar_is_zero,
-    scalar_sign,
-)
+from .scalar import PRECISION_BUDGET, is_rational_scalar, scalar_is_zero
 from .verdict import UndecidedError, Verdict, certified, unknown
 
 DEFAULT_DEPTH = 16
@@ -75,7 +70,8 @@ class RzlNumber:
 
     # -- arithmetic ----------------------------------------------------------
 
-    def __add__(self, other):
+    def _termwise(self, other, op):
+        """The stream i -> op(self[i], other[i]), for sums and differences."""
         other = as_number(other)
         if other is NotImplemented:
             return NotImplemented
@@ -83,7 +79,10 @@ class RzlNumber:
         if self.finite_support is not None and other.finite_support is not None:
             fs = max(self.finite_support, other.finite_support)
         return RzlNumber(min(self.low, other.low),
-                         lambda i: self[i] + other[i], fs)
+                         lambda i: op(self[i], other[i]), fs)
+
+    def __add__(self, other):
+        return self._termwise(other, operator.add)
 
     __radd__ = __add__
 
@@ -91,16 +90,10 @@ class RzlNumber:
         return RzlNumber(self.low, lambda i: -self[i], self.finite_support)
 
     def __sub__(self, other):
-        other = as_number(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        return self._termwise(other, operator.sub)
 
     def __rsub__(self, other):
-        other = as_number(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
+        return self._termwise(other, lambda a, b: b - a)
 
     def __mul__(self, other):
         other = as_number(other)
@@ -338,7 +331,10 @@ def leading_index(x: RzlNumber, depth: int = DEFAULT_DEPTH,
 
     Scans indices low .. low+depth.  An undecided computable-real
     coefficient blocks the scan: anything past it could not soundly be
-    called leading.
+    called leading.  A certified verdict's value is the interval (lo, hi)
+    that proved the coefficient nonzero, which holds it and excludes 0:
+    (c, c) for a rational c, and for a computable real the first bracket
+    clear of 0 that `CompReal.bracket_clear_of` finds within the budget.
     """
     if depth < 1:
         raise ValueError("depth must be a positive integer")
@@ -346,12 +342,13 @@ def leading_index(x: RzlNumber, depth: int = DEFAULT_DEPTH,
     if x.finite_support is not None:
         hi = min(hi, x.finite_support)
     for i in range(x.low, hi + 1):
-        s = scalar_sign(x[i], budget)
-        if s is None:
+        c = x[i]
+        clear = (c, c) if is_rational_scalar(c) else c.bracket_clear_of((0,), budget)
+        if clear is None:
             return unknown(depth, witness=i,
                            reason=f"coefficient sign undecided at index {i}")
-        if s != 0:
-            return certified(depth, witness=i, value=i,
+        if clear != (0, 0):
+            return certified(depth, witness=i, value=clear,
                              reason="first provably nonzero coefficient")
     if x.finite_support is not None and x.finite_support <= hi:
         return unknown(depth, reason="exact zero: no leading term exists")
@@ -372,10 +369,13 @@ def inverse(x: RzlNumber, depth: int = DEFAULT_DEPTH,
         raise UndecidedError("inverse requires certified leading term", li)
     m = li.witness
     a = x[m]
-    inv_a = scalar_div(1, a, budget)
+    lo, hi = li.value
+    # the certified bracket bounds |a| from below for a computable real
+    inv_a = 1 / Fraction(a) if is_rational_scalar(a) \
+        else a.reciprocal(min(abs(lo), abs(hi)))
 
     # coefficient of eps**j in (1+u), for j >= 1
-    rel = functools.cache(lambda j: scalar_div(x[m + j], a, budget))
+    rel = functools.cache(lambda j: x[m + j] * inv_a)
     top = None if x.finite_support is None else x.finite_support - m
     w_at = recurrence(lambda t, w: -convolution_sum(
         rel, w.__getitem__, t, 1, t if top is None else min(t, top)), 1)

@@ -9,7 +9,6 @@ decision (an index, a separating radius, a violating point).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -23,12 +22,7 @@ from .number import (
     leading_index,
     monomial,
 )
-from .scalar import (
-    PRECISION_BUDGET,
-    is_rational_scalar,
-    scalar_abs_within,
-    scalar_sign,
-)
+from .scalar import PRECISION_BUDGET, scalar_abs_within, scalar_sign
 from .verdict import UndecidedError, Verdict, certified, refuted, unknown
 
 NEGATIVE = "negative"
@@ -41,12 +35,14 @@ INFINITE = "infinite"
 
 def sign_of(x: RzlNumber, depth: int = DEFAULT_DEPTH,
             budget: int = PRECISION_BUDGET) -> Verdict:
-    """Sign of the first provably nonzero coefficient; Unknown = zero so far."""
-    x = as_number(x)
-    li = leading_index(x, depth, budget)
+    """Sign of the first provably nonzero coefficient; Unknown = zero so far.
+
+    The sign is read from the interval `leading_index` certified, which
+    lies wholly on one side of 0, so the coefficient is decided once.
+    """
+    li = leading_index(as_number(x), depth, budget)
     if li.is_certified:
-        s = scalar_sign(x[li.witness], budget)
-        label = POSITIVE if s > 0 else NEGATIVE
+        label = POSITIVE if li.value[0] > 0 else NEGATIVE
         return certified(depth, witness=(li.witness, label), value=label)
     return unknown(depth, reason=li.reason)
 
@@ -123,8 +119,8 @@ def in_delta(x: RzlNumber, d: DeltaSpec, depth: int = DEFAULT_DEPTH,
     leading-order reading of the same set.
     """
     x = as_number(x)
-    li = leading_index(x, depth, budget)
     if d.down_closed:
+        li = leading_index(x, depth, budget)
         if li.is_certified:
             if li.witness >= d.m:
                 return certified(depth, witness=li.witness)
@@ -215,10 +211,11 @@ def e_ball(center: RzlNumber, radius: RzlNumber) -> BallSpec:
 def within_radius(d: RzlNumber, r: RzlNumber, depth: int, budget: int) -> Verdict:
     """Certify -r < d < r (two-sided, avoids needing a certified sign of d)."""
     upper = lex_less(d, r, depth, budget)
+    if upper.is_refuted:
+        return refuted(depth, witness=upper.witness)
     lower = lex_less(-r, d, depth, budget)
-    if upper.is_refuted or lower.is_refuted:
-        side = upper if upper.is_refuted else lower
-        return refuted(depth, witness=side.witness)
+    if lower.is_refuted:
+        return refuted(depth, witness=lower.witness)
     if upper.is_certified and lower.is_certified:
         return certified(depth, witness=(lower.witness, upper.witness))
     return unknown(depth, reason="containment undecided at depth")
@@ -231,9 +228,8 @@ def ball_contains(b: BallSpec, z: RzlNumber, depth: int = DEFAULT_DEPTH,
     if b.kind in (BallKind.ST, BallKind.RAT):
         return within_radius(d, from_rational(Fraction(1, b.n)), depth, budget)
     if b.kind is BallKind.E:
-        rad = in_delta(b.radius, DeltaSpec(1, down_closed=True), depth, budget)
-        pos = sign_of(b.radius, depth, budget)
-        if not (rad.is_certified and pos.is_certified and pos.value == POSITIVE):
+        li = leading_index(as_number(b.radius), depth, budget)
+        if not (li.is_certified and li.witness >= 1 and li.value[0] > 0):
             raise ValueError("e-ball radius must be a certified positive infinitesimal")
         return within_radius(d, b.radius, depth, budget)
     if b.kind is BallKind.PSI:
@@ -269,7 +265,10 @@ def distinguishable(x: RzlNumber, y: RzlNumber, kind: str,
                                reason="difference is infinitesimal; every "
                                       "rational-radius ball around one point "
                                       "contains the other")
-            return certified(depth, witness=("st-ball-n", _separating_n(d, m, budget)))
+            # the smallest n with 1/n below half the certified |gap|
+            lo, hi = li.value
+            n = 1 if m < 0 else 2 // min(abs(lo), abs(hi)) + 1
+            return certified(depth, witness=("st-ball-n", n))
         if _exact_zeros(d):
             return refuted(depth, reason="points are equal")
         return unknown(depth, reason=li.reason)
@@ -280,19 +279,6 @@ def distinguishable(x: RzlNumber, y: RzlNumber, kind: str,
             return refuted(depth, reason="points are equal")
         return unknown(depth, reason=li.reason)
     raise ValueError("kind must be 'st' or 'e'")
-
-
-def _separating_n(d: RzlNumber, m: int, budget: int) -> int:
-    # smallest convenient n with 1/n < |leading gap|/2
-    if m < 0:
-        return 1
-    c = d[0]
-    if is_rational_scalar(c):
-        return math.floor(2 / abs(Fraction(c))) + 1
-    clear = c.bracket_clear_of((0,), budget)
-    if clear is None:
-        raise UndecidedError("certified leading coefficient lost its certificate")
-    return math.floor(2 / min(abs(clear[0]), abs(clear[1]))) + 1
 
 
 def point_interior_witness(interval: tuple[RzlNumber, RzlNumber], z: RzlNumber,

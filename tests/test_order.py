@@ -258,3 +258,52 @@ def test_st_separation_witness_for_a_computable_real():
     assert v.is_certified and v.witness == ("st-ball-n", 26)
     with mpmath.workdps(50):
         assert mpmath.mpf(1) / 26 < abs(mpmath.sin(mpmath.mpf(1) / 3)) / 2
+
+
+# -- one decision per leading coefficient ----------------------------------------
+
+def _count_clears(monkeypatch) -> list:
+    """Record each CompReal.bracket_clear_of call (the escalation loop)."""
+    calls = []
+    clear = CompReal.bracket_clear_of
+
+    def counted(self, *args):
+        calls.append(self)
+        return clear(self, *args)
+
+    monkeypatch.setattr(CompReal, "bracket_clear_of", counted)
+    return calls
+
+
+def test_order_escalates_once_per_computable_coefficient(monkeypatch):
+    from rzl.scalar import creal_elementary
+    c = creal_elementary("sin", F(1, 3))
+    x = from_coefficients(-1, [0, 0, c, 1])     # leading coefficient c at index 1
+    calls = _count_clears(monkeypatch)
+    for check, witness in ((lambda: sign_of(x), (1, POSITIVE)),
+                           (lambda: abs_val(x), (1, POSITIVE)),
+                           (lambda: lex_less(zero(), x), (1, POSITIVE)),
+                           (lambda: lex_less(x, zero()), (1, NEGATIVE))):
+        calls.clear()
+        v = check()
+        assert v.witness == witness
+        assert len(calls) == 1
+
+
+def test_st_distinguishable_escalates_once(monkeypatch):
+    from rzl.scalar import creal_elementary
+    gap = from_coefficients(0, [creal_elementary("sin", F(1, 3)), 1])
+    calls = _count_clears(monkeypatch)
+    v = distinguishable(zero(), gap, "st")
+    assert v.is_certified and v.witness == ("st-ball-n", 26)
+    assert len(calls) == 1
+
+
+def test_within_radius_stops_at_a_refuted_upper_side(monkeypatch):
+    import rzl.order as order
+    calls = []
+    lex = order.lex_less
+    monkeypatch.setattr(order, "lex_less", lambda *a: calls.append(a) or lex(*a))
+    v = order.within_radius(from_rational(2), one(), 8, 2 ** 20)
+    assert v.is_refuted and v.witness == (0, NEGATIVE)
+    assert len(calls) == 1

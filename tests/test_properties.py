@@ -10,11 +10,13 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from rzl.number import from_coefficients, monomial  # noqa: E402
+from rzl.number import from_coefficients, leading_index, monomial  # noqa: E402
 from rzl.order import (  # noqa: E402
     DeltaSpec,
+    abs_val,
     ball_contains,
     classify,
+    distinguishable,
     e_ball,
     in_delta,
     lex_less,
@@ -118,12 +120,33 @@ def test_order_verdicts_monotone_in_budget(x, y, m, depth, budget):
     _assert_monotone(lambda d, b: sign_of(x, d, b), depth, budget)
     _assert_monotone(lambda d, b: lex_less(x, y, d, b), depth, budget)
     _assert_monotone(lambda d, b: classify(x, d, b), depth, budget)
+    _assert_monotone(lambda d, b: abs_val(x, d, b), depth, budget)
+    for kind in ("st", "e"):
+        _assert_monotone(lambda d, b: distinguishable(x, y, kind, d, b), depth, budget)
     _assert_monotone(lambda d, b: in_delta(x, DeltaSpec(m, down_closed=True), d, b),
                      depth, budget)
     # the pure-monomial reading refutes past an undecided coefficient, so
     # its witness index may move down as the budget grows (see below)
     _assert_monotone(lambda d, b: in_delta(x, DeltaSpec(m), d, b), depth, budget,
                      same_witness=False)
+
+
+@SETTINGS
+@given(st.integers(min_value=-2, max_value=1), st.lists(small, max_size=4),
+       computable(), st.booleans(), depths, budgets)
+def test_leading_index_value_holds_the_coefficient(low, coeffs, qc, as_creal, depth, budget):
+    """A certified value is an interval that holds the leading coefficient
+    and excludes 0, and it is (c, c) for a rational coefficient c."""
+    q, c = qc
+    x = from_coefficients(low, coeffs + [c if as_creal else q])
+    li = leading_index(x, depth, budget)
+    if not li.is_certified:
+        return
+    lo, hi = li.value
+    exact = (coeffs + [q])[li.witness - low]
+    assert lo <= exact <= hi and not lo <= 0 <= hi
+    if not isinstance(x[li.witness], CompReal):
+        assert li.value == (exact, exact)
 
 
 @pytest.mark.xfail(strict=True, reason="in_delta's pure-monomial reading skips an "

@@ -305,3 +305,15 @@ def test_scalar_str_below_the_render_cap():
     assert text == "~8.75651e-27"
     with mpmath.workdps(50):
         assert text == "~" + mpmath.nstr(mpmath.exp(-60), 6)
+
+
+def test_inverse_builds_one_reciprocal_node(monkeypatch):
+    # inverse divides every coefficient by the one reciprocal of its
+    # leading coefficient
+    bounds = []
+    reciprocal = CompReal.reciprocal
+    monkeypatch.setattr(CompReal, "reciprocal",
+                        lambda self, bound: bounds.append(bound) or reciprocal(self, bound))
+    x = _inverse_two_plus_sin()
+    assert all(isinstance(x[i], CompReal) for i in range(21))
+    assert len(bounds) == 1
