@@ -213,8 +213,9 @@ def within_radius(d: RzlNumber, r: RzlNumber, depth: int, budget: int) -> Verdic
     upper = lex_less(d, r, depth, budget)
     if upper.is_refuted:
         return refuted(depth, witness=upper.witness)
-    lower = lex_less(-r, d, depth, budget)
-    if lower.is_refuted:
+    # -r < d is the sign of d + r, one stream
+    lower = sign_of(d + r, depth, budget)
+    if lower.is_certified and lower.value == NEGATIVE:
         return refuted(depth, witness=lower.witness)
     if upper.is_certified and lower.is_certified:
         return certified(depth, witness=(lower.witness, upper.witness))

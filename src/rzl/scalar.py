@@ -58,6 +58,11 @@ def _grid(bits: int) -> int:
     return -(-bits // step) * step
 
 
+def _first_precision(n: int) -> int:
+    """The working precision `CompReal._working_ball(n)` tries first."""
+    return _grid(n.bit_length() + _GUARD_BITS)
+
+
 class CompReal:
     """A real number given by a rational approximation at every precision.
 
@@ -116,18 +121,27 @@ class CompReal:
                 balls[p] = node._op(p, node._data, *[k._balls[p] for k in kids])
         return self._balls[p]
 
+    def _working_ball(self, n: int) -> tuple[int, int, int]:
+        """(M, R, p): the ball at the working precision p of precision n,
+        the first p from `_first_precision(n)` at which R/2^p <= 1/n.
+
+        p depends on n alone, so every thread reads the same balls and the
+        same answer."""
+        p = _first_precision(n)
+        m, r = self.ball(p)
+        while r * n > 1 << p:
+            p = _grid((r * n).bit_length() + p // 4)
+            m, r = self.ball(p)
+        return m, r, p
+
     def approx(self, n: int) -> Fraction:
+        """M/2^p from `_working_ball(n)`, memoized per n.  Sign decisions
+        do not come through here: `bracket_clear_of` reads the balls."""
         if n < 1:
             raise ValueError("precision must be a positive integer")
         a = self._memo.get(n)
         if a is None:
-            # the working precision depends on n alone, so every thread
-            # reads the same balls and the same answer
-            p = _grid(n.bit_length() + _GUARD_BITS)
-            m, r = self.ball(p)
-            while r * n > 1 << p:
-                p = _grid((r * n).bit_length() + p // 4)
-                m, r = self.ball(p)
+            m, _, p = self._working_ball(n)
             a = self._memo.setdefault(n, Fraction(m, 1 << p))
         return a
 
@@ -191,13 +205,41 @@ class CompReal:
 
     def bracket_clear_of(self, cuts, budget: int = PRECISION_BUDGET):
         """The first bracket at precision 1, 2, 4, ... <= budget that holds
-        none of the rational cut points, or None within the budget."""
+        none of the rational cut points, or None within the budget.
+
+        The bracket at n is `bracket(n)`, (a - 1/n, a + 1/n) with a = M/2^p
+        from `_working_ball(n)`, but it is decided in integers: a cut c/d
+        (d > 0) lies outside it iff n*|c*2^p - M*d| > d*2^p.  No `Fraction`
+        is built before the returned bracket.
+
+        The band of n is n and the doubled n' after it with
+        `_first_precision(n') == p` and R*n' <= 2^p: `_working_ball(n')`
+        reads the same ball and needs no retry, so the band's brackets are
+        nested around the one centre a, and "clear of every cut" holds from
+        some n' of the band on or nowhere in it.  So each band reads one
+        ball, and the first n' that clears follows from it: with
+        e = |c*2^p - M*d| and t = d*2^p for each cut, the least power of two
+        n' >= n above every t/e.  It is the answer if the band reaches it;
+        otherwise, or when a cut is the centre (e = 0), the whole band is
+        skipped.  After a retry at n the band is usually n alone.
+        """
+        cuts = [(c.numerator, c.denominator) for c in cuts]
         n = 1
         while n <= budget:
-            lo, hi = self.bracket(n)
-            if all(c < lo or hi < c for c in cuts):
-                return lo, hi
-            n *= 2
+            m, r, p = self._working_ball(n)
+            gaps = [(abs((c << p) - m * d), d << p) for c, d in cuts]
+            first = None
+            if all(e for e, _ in gaps):
+                need = max((t // e for e, t in gaps), default=0)
+                first = max(n, 1 << need.bit_length())
+            last = n
+            while last != first and (2 * last <= budget and r * 2 * last <= 1 << p
+                                     and _first_precision(2 * last) == p):
+                last *= 2
+            if last == first:
+                return (Fraction(m * last - (1 << p), last << p),
+                        Fraction(m * last + (1 << p), last << p))
+            n = 2 * last
         return None
 
     def sign(self, budget: int = PRECISION_BUDGET):
@@ -309,8 +351,7 @@ def creal_from_rational(q) -> CompReal:
 # ---------------------------------------------------------------------------
 # Scalar helpers.  A "scalar" is an exact rational or a CompReal, and the
 # ordinary operators above are its arithmetic.  These answer what those
-# operators cannot: division by a certified divisor, signs, tri-state
-# equality and rendering.
+# operators cannot: signs, tri-state equality and rendering.
 # ---------------------------------------------------------------------------
 
 def is_rational_scalar(x) -> bool:
@@ -318,20 +359,6 @@ def is_rational_scalar(x) -> bool:
     # by identity before the slower `numbers.Rational` ABC check.
     t = type(x)
     return t is int or t is Fraction or isinstance(x, numbers.Rational)
-
-
-def scalar_div(a, b, budget: int = PRECISION_BUDGET):
-    """Exact division for rationals; bracket-certified reciprocal otherwise."""
-    if is_rational_scalar(b):
-        if b == 0:
-            raise ZeroDivisionError("scalar division by zero")
-        if is_rational_scalar(a):
-            return Fraction(a) / Fraction(b)
-        return a * (1 / Fraction(b))
-    clear = b.bracket_clear_of((0,), budget)
-    if clear is None:
-        raise ZeroDivisionError("divisor sign undecided within precision budget")
-    return a * b.reciprocal(min(abs(clear[0]), abs(clear[1])))
 
 
 def scalar_sign(x, budget: int = PRECISION_BUDGET):

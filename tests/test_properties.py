@@ -2,6 +2,7 @@
 order verdicts are monotone in their budgets, and computable-real balls
 contain the values mpmath computes."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -186,7 +187,7 @@ def test_ball_approximations_are_sound(leaf_list, step_list):
     value exceeds 1000 in magnitude are dropped, so that the oracle's own
     rounding stays far below 1/n."""
     mpmath = pytest.importorskip("mpmath")
-    from rzl.scalar import creal_elementary, scalar_div
+    from rzl.scalar import creal_elementary
 
     def mp(q):
         return mpmath.mpf(q.numerator) / q.denominator
@@ -197,10 +198,11 @@ def test_ball_approximations_are_sound(leaf_list, step_list):
         for op, i, j, q in step_list:
             (a, va), (b, vb) = nodes[i % len(nodes)], nodes[j % len(nodes)]
             if op == "/":
-                try:
-                    c, v = scalar_div(a, b), va / vb
-                except ZeroDivisionError:   # divisor not separated from 0
+                clear = b.bracket_clear_of((0,))
+                if clear is None:           # divisor not separated from 0
                     continue
+                lo, hi = clear
+                c, v = a * b.reciprocal(min(abs(lo), abs(hi))), va / vb
             else:
                 c, v = {"+": (a + b, va + vb), "-": (a - b, va - vb),
                         "*": (a * b, va * vb), "scale": (a * q, va * mp(q))}[op]
@@ -213,3 +215,93 @@ def test_ball_approximations_are_sound(leaf_list, step_list):
             for p in (4, 16, 64):   # the balls themselves, also at low precision
                 m, r = c.ball(p)
                 assert abs(m - v * 2 ** p) <= r + slack
+
+
+# -- escalation in integers against the loop over Fraction brackets -------------
+
+def _fraction_loop(c, cuts, budget):
+    """The escalation as a loop over `approx` and `Fraction` brackets."""
+    n = 1
+    while n <= budget:
+        a = c.approx(n)
+        lo, hi = a - Fraction(1, n), a + Fraction(1, n)
+        if all(cut < lo or hi < cut for cut in cuts):
+            return lo, hi
+        n *= 2
+    return None
+
+
+def _floor_leaf(q):
+    """An approximation-function leaf for q: floor(q*n)/n is within 1/n."""
+    return CompReal(lambda n: Fraction(math.floor(q * n), n))
+
+
+dag_leaves = st.tuples(st.sampled_from(["exp", "sin", "cos", "fn"]), rationals,
+                       st.sampled_from([1, 1, Fraction(1, 2 ** 17)]))
+dag_steps = st.tuples(st.sampled_from(["+", "-", "*", "/", "scale", "zero", "rzero"]),
+                      st.integers(min_value=0, max_value=11),
+                      st.integers(min_value=0, max_value=11),
+                      st.sampled_from([Fraction(1, 2 ** 30), Fraction(-1, 2 ** 17),
+                                       Fraction(-1, 2 ** 12),
+                                       Fraction(3, 7), Fraction(-5), Fraction(2 ** 20)]))
+escalation_budgets = st.sampled_from([1, 3, 1000, 2 ** 15, 2 ** 16, 2 ** 17, 2 ** 20])
+
+
+@settings(deadline=None, max_examples=150, derandomize=True)
+@given(st.lists(dag_leaves, min_size=1, max_size=3), st.lists(dag_steps, max_size=6),
+       st.fractions(min_value=Fraction(1, 2 ** 30), max_value=4, max_denominator=2 ** 30),
+       escalation_budgets)
+def test_bracket_clear_of_matches_the_fraction_loop(leaf_list, step_list, b, budget):
+    """Random DAGs of + - *, reciprocals (of small values too, whose balls
+    need a retry), scaling down to 2^-30, exp/sin/cos and
+    approximation-function leaves, and exact zeros x - x built from distinct
+    nodes: `bracket_clear_of` returns exactly the bracket of the loop over
+    `approx(n) -+ 1/n`, for the cuts 0 and -b, b."""
+    from rzl.scalar import creal_elementary
+
+    def leaf(kind, q, s):
+        if kind == "fn":
+            return lambda: _floor_leaf(q) * s
+        return lambda: creal_elementary(kind, q) * s
+
+    makes = [leaf(*spec) for spec in leaf_list]
+    nodes = [make() for make in makes]
+    for op, i, j, q in step_list:
+        i, j = i % len(nodes), j % len(nodes)
+        (a, make_a), (c, make_c) = (nodes[i], makes[i]), (nodes[j], makes[j])
+        if op == "/":               # a / (c*q): a small q needs retries
+            clear = (c * q).bracket_clear_of((0,))
+            if clear is None:
+                continue
+            bound = min(abs(clear[0]), abs(clear[1]))
+
+            def make(make_a=make_a, make_c=make_c, q=q, bound=bound):
+                return make_a() * (make_c() * q).reciprocal(bound)
+        elif op == "zero":
+            # exactly 0 from two distinct DAGs whose centres differ by the
+            # roundings of 1/3
+            def make(make_a=make_a):
+                return make_a() - make_a() * Fraction(1, 3) * 3
+        elif op == "rzero":
+            # the same, with the roundings amplified by 1/(a*q)
+            clear = (a * q).bracket_clear_of((0,))
+            if clear is None:
+                continue
+            bound = min(abs(clear[0]), abs(clear[1]))
+
+            def make(make_a=make_a, q=q, bound=bound):
+                return ((make_a() * q).reciprocal(bound)
+                        - (make_a() * q * Fraction(1, 3) * 3).reciprocal(bound))
+        else:
+            def make(op=op, make_a=make_a, make_c=make_c, q=q):
+                x, y = make_a(), make_c()
+                return {"+": x + y, "-": x - y, "*": x * y, "scale": x * q}[op]
+        node = make()
+        if isinstance(node, CompReal):
+            makes.append(make)
+            nodes.append(node)
+    for node in nodes:
+        for cuts in ((0,), (-b, b)):
+            got = node.bracket_clear_of(cuts, budget)
+            assert got == _fraction_loop(node, cuts, budget)
+            assert got is None or all(type(end) is Fraction for end in got)

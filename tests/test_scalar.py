@@ -10,11 +10,11 @@ from fractions import Fraction as F
 import pytest
 
 from rzl.scalar import (
+    PRECISION_BUDGET,
     CompReal,
     creal_elementary,
     creal_from_rational,
     scalar_abs_within,
-    scalar_div,
     scalar_eq,
     scalar_sign,
     scalar_str,
@@ -49,7 +49,7 @@ def test_rational_arithmetic_identities():
     assert F(2, 3) * F(3, 2) == 1
     assert F(-1, 7) < 0
     with pytest.raises(ZeroDivisionError):
-        scalar_div(F(1), F(0))
+        F(1) / F(0)
 
 
 def test_rational_field_axioms_randomized():
@@ -201,7 +201,8 @@ def test_creal_reciprocal():
 
 def test_exact_zero_factor_stays_exact():
     c = creal_elementary("sin", 1)
-    for z in (0 * c, c * 0, scalar_div(0, c)):
+    lo, _ = c.bracket_clear_of((0,))
+    for z in (0 * c, c * 0, 0 * c.reciprocal(lo)):
         assert type(z) is int and scalar_sign(z) == 0
 
 
@@ -317,3 +318,25 @@ def test_inverse_builds_one_reciprocal_node(monkeypatch):
     x = _inverse_two_plus_sin()
     assert all(isinstance(x[i], CompReal) for i in range(21))
     assert len(bounds) == 1
+
+
+def test_undecided_escalation_reads_one_ball_per_band(monkeypatch):
+    # sin(1/3) - sin(1/3) from two distinct nodes is exactly 0, so every
+    # bracket up to the budget holds the cut: the escalation decides in
+    # integers, one ball per working precision, and builds no Fraction
+    z = creal_elementary("sin", F(1, 3)) - creal_elementary("sin", F(1, 3))
+    balls, fractions = [], []
+    ball, new = CompReal.ball, F.__dict__["__new__"]
+
+    def counted_new(cls, *args, **kwargs):
+        fractions.append(args)
+        return new.__func__(cls, *args, **kwargs)
+
+    monkeypatch.setattr(CompReal, "ball", lambda self, p: balls.append(p) or ball(self, p))
+    F.__new__ = staticmethod(counted_new)
+    try:
+        clear = z.bracket_clear_of((0,), PRECISION_BUDGET)
+    finally:
+        F.__new__ = new
+    assert clear is None
+    assert len(balls) <= 4 and fractions == []
