@@ -31,6 +31,7 @@ from .number import (
     part,
     recurrence,
 )
+from .order import abs_val
 from .scalar import (
     PRECISION_BUDGET,
     creal_elementary,
@@ -60,6 +61,19 @@ def _compare_scalar(value, op: str, bound, budget: int):
     return _PREDICATES[op](s, 0)
 
 
+def branch_taken(t: E.PiecewiseSt, st, budget: int) -> E.Expr:
+    """The branch of t taken where its subject has standard part st (so also
+    infinitesimally close by); raises when the predicate is undecided."""
+    return t.then_branch if _compare_scalar(st, t.op, t.bound, budget) else t.else_branch
+
+
+def _scalar_tree(f: E.Expr) -> E.Expr:
+    """f, once known to hold no unit literal (so it has a scalar value)."""
+    if E.contains(f, (E.EpsilonLit, E.OmegaLit)):
+        raise DomainError("unit literals have no scalar value")
+    return f
+
+
 def evaluate(f: E.Expr, x: RzlNumber, depth: int = DEFAULT_DEPTH,
              budget: int = PRECISION_BUDGET, var: str = "x") -> RzlNumber:
     """Structural evaluation of an expression at a stream point."""
@@ -86,30 +100,28 @@ def evaluate(f: E.Expr, x: RzlNumber, depth: int = DEFAULT_DEPTH,
             return divide(go(t.left), go(t.right), depth, budget)
         if isinstance(t, E.PowInt):
             return go(t.base) ** t.exponent
-        if isinstance(t, E.Sin):
-            return transcendental("sin", go(t.arg), depth, budget)
-        if isinstance(t, E.Cos):
-            return transcendental("cos", go(t.arg), depth, budget)
-        if isinstance(t, E.Exp):
-            return transcendental("exp", go(t.arg), depth, budget)
+        if isinstance(t, E.PowSym):
+            # the exponent is read at its standard part, like eval_scalar
+            k = go(_scalar_tree(t.exponent))[0]
+            if not is_rational_scalar(k) or Fraction(k).denominator != 1 or k < 0:
+                raise ValueError("exponent must resolve to a nonnegative integer")
+            return go(t.base) ** int(k)
+        if isinstance(t, (E.Sin, E.Cos, E.Exp)):
+            return transcendental(type(t).__name__.lower(), go(t.arg), depth, budget)
         if isinstance(t, E.Sign):
             s = scalar_sign(go(t.arg)[0], budget)
             if s is None:
                 raise UndecidedError("undecided at depth: sign of standard part")
             return from_scalar(s)
         if isinstance(t, E.Abs):
-            v = go(t.arg)
-            from .order import abs_val
-            av = abs_val(v, depth, budget)
+            av = abs_val(go(t.arg), depth, budget)
             if not av.is_certified:
                 raise UndecidedError("undecided at depth: absolute value", av)
             return av.value
         if isinstance(t, E.Part):
             return part(go(t.arg), t.selector)
         if isinstance(t, E.PiecewiseSt):
-            st = go(t.subject)[0]
-            taken = _compare_scalar(st, t.op, t.bound, budget)
-            return go(t.then_branch if taken else t.else_branch)
+            return go(branch_taken(t, go(t.subject)[0], budget))
         raise TypeError(f"unknown node {t!r}")
 
     return go(f)
@@ -202,9 +214,7 @@ def der(f: E.Expr, x: RzlNumber, depth: int = DEFAULT_DEPTH,
 def eval_scalar(f: E.Expr, s, budget: int = PRECISION_BUDGET):
     """Evaluate an expression at a scalar (real) point: the standard part
     of its value at the constant stream s."""
-    if E.contains(f, (E.EpsilonLit, E.OmegaLit)):
-        raise DomainError("unit literals have no scalar value")
-    return evaluate(f, from_scalar(s), budget=budget)[0]
+    return evaluate(_scalar_tree(f), from_scalar(s), budget=budget)[0]
 
 
 # -- the derivative comparison set ----------------------------------------------------
@@ -228,8 +238,7 @@ def _resolve_piecewise(f: E.Expr, x: RzlNumber, budget: int):
         st = evaluate(t.subject, x, budget=budget)[0]
         if is_rational_scalar(st) and st == Fraction(t.bound):
             boundary = True
-        taken = _compare_scalar(st, t.op, t.bound, budget)
-        return go(t.then_branch if taken else t.else_branch)
+        return go(branch_taken(t, st, budget))
 
     return go(f), boundary
 

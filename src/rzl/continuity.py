@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import expr as E
-from .calculus import evaluate
+from .calculus import branch_taken, evaluate
 from .number import (
     DEFAULT_DEPTH,
     RzlNumber,
@@ -78,15 +78,6 @@ def _classify(f: E.Expr):
     return None
 
 
-def _branch_at(f: E.PiecewiseSt, c: RzlNumber, budget: int):
-    """The branch active at c (and at every point infinitesimally close to
-    it, since the predicate reads only standard parts)."""
-    from .calculus import _compare_scalar
-    st = evaluate(f.subject, c, budget=budget)[0]
-    taken = _compare_scalar(st, f.op, f.bound, budget)
-    return f.then_branch if taken else f.else_branch
-
-
 def _lipschitz_at(coeffs, c: RzlNumber):
     # the local bound argument needs a finite point: degree >= 2 terms are
     # unbounded along the infinite unit, so an omega part voids the rule
@@ -123,7 +114,8 @@ def _certify(f: E.Expr, c: RzlNumber, rules: dict, depth: int,
         if not isinstance(data.subject, E.Var) and not _exact_zeros(c, -1):
             return None   # nonlinear subjects may amplify omega parts
         try:
-            branch = _branch_at(data, c, precision)
+            branch = branch_taken(
+                data, evaluate(data.subject, c, budget=precision)[0], precision)
         except UndecidedError:
             return None
         inner = _certify(branch, c, rules, depth, precision)

@@ -41,6 +41,14 @@ class RzlSequence:
         return as_number(self.term(n))
 
 
+def _window(m_terms: int, least: int = 1) -> str:
+    """The caveat naming terms 1..m_terms.  A window of fewer than `least`
+    terms (a pair needs two) inspects nothing, so it may decide nothing."""
+    if m_terms < least:
+        raise ValueError(f"window of {m_terms} terms: at least {least} needed")
+    return f"terms 1..{m_terms}"
+
+
 def _distances(s: RzlSequence, limit: RzlNumber, m_terms: int):
     limit = as_number(limit)
     return {n: s(n) - limit for n in range(1, m_terms + 1)}
@@ -107,8 +115,8 @@ def cc_check(s: RzlSequence, limit: RzlNumber, m_terms: int = 24,
              modulus=None) -> Verdict:
     """Classical convergence: every rational tolerance 1/m is met beyond
     some N.  Limits need not be unique."""
+    window = _window(m_terms)
     ds = _distances(s, limit, m_terms)
-    window = f"terms 1..{m_terms}"
     within = functools.cache(lambda n, m: within_radius(
         ds[n], from_rational(Fraction(1, m)), depth, budget))
 
@@ -143,9 +151,9 @@ def hc_check(s: RzlSequence, limit: RzlNumber, radii, m_terms: int = 24,
              depth: int = DEFAULT_DEPTH, budget: int = PRECISION_BUDGET) -> Verdict:
     """Hyperconvergence: every supplied positive radius (stream-valued,
     infinitesimals allowed) is met beyond some N."""
+    window = _window(m_terms)
     radii = _positive_radii(radii, "hyperconvergence", depth, budget)
     ds = _distances(s, limit, m_terms)
-    window = f"terms 1..{m_terms}"
 
     moduli = {}
     inf_modulus = None
@@ -199,9 +207,10 @@ def rc_check(s: RzlSequence, limit: RzlNumber, m_terms: int = 24,
              budget: int = PRECISION_BUDGET) -> Verdict:
     """Uniform coefficient-wise convergence: one N per tolerance must bound
     every coefficient index at once."""
-    limit = as_number(limit)
+    if index_budget < 0:
+        raise ValueError(f"the index budget must be nonnegative, got {index_budget}")
+    window = f"{_window(m_terms)}, indices up to {index_budget}"
     ds = _distances(s, limit, m_terms)
-    window = f"terms 1..{m_terms}, indices up to {index_budget}"
 
     exhaustive = all(d.finite_support is not None
                      and d.finite_support <= index_budget for d in ds.values())
@@ -247,9 +256,9 @@ def hyper_cauchy_check(s: RzlSequence, radii, m_terms: int = 24,
     limit hint, a hyperconvergence certificate at half the radii transfers
     by the triangle inequality.
     """
+    window = _window(m_terms, least=2)
     radii = [r for r, _ in _positive_radii(radii, "hyper-Cauchy", depth, budget)]
     terms = {n: s(n) for n in range(1, m_terms + 1)}
-    window = f"terms 1..{m_terms}"
 
     # eventually constant (exact, needs finite support): scan down past
     # the steps that are provably zero
@@ -276,17 +285,13 @@ def hyper_cauchy_check(s: RzlSequence, radii, m_terms: int = 24,
         # the n0 scan and the consecutive-pair refutation revisit pairs
         pair = functools.cache(
             lambda a, b: within_radius(terms[b] - terms[a], r, depth, budget))
-        best_n0 = None
-        for n0 in range(0, m_terms - 1):
-            pairs_ok = all(
-                pair(a, b).is_certified
-                for a in range(n0 + 1, m_terms + 1)
-                for b in range(a + 1, m_terms + 1))
-            if pairs_ok:
-                best_n0 = n0
-                break
-        if best_n0 is not None:
-            verdicts[idx] = best_n0
+        # n0 is the highest row a with a pair (a, b > a) not certified
+        n0 = m_terms - 1
+        while n0 > 0 and all(pair(n0, b).is_certified
+                             for b in range(n0 + 1, m_terms + 1)):
+            n0 -= 1
+        if n0 < m_terms - 1:
+            verdicts[idx] = n0
             continue
         consecutive_violated = all(
             pair(n, n + 1).is_refuted for n in range(1, m_terms))

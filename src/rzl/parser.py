@@ -7,13 +7,18 @@ Grammar (expression mode)::
     term     := unary (('*' | '/') unary)*
     unary    := '-' unary | power
     power    := atom ('^' exponent)*          # left-associative
-    exponent := INTEGER                       # sequence mode also allows n
+    exponent := INTEGER                       # sequence mode: also n, '(' expr ')'
     atom     := INTEGER | NAME '(' expr ')' | NAME | '(' expr ')'
 
 Names: ``eps`` (the infinitesimal unit), ``w`` and ``G`` (the infinite
 unit), the variable ``x``, and the functions sin cos exp sign St NstE
 NstW abs.  ``a/b`` over integer literals folds to an exact rational
 constant; division elsewhere stays symbolic.
+
+Sequence mode (`parse_sequence`) reads the term index n in place of x.
+Each term is one `calculus.evaluate` call with n bound to the index; a
+symbolic exponent is read there at its standard part, which must be an
+exact nonnegative integer.
 
 Any text containing a comma is read as a rendered coefficient list
 ("-1, 0, ^2, 2, 0, ..."), giving back the stream literal, so rendering
@@ -26,7 +31,8 @@ import re
 from fractions import Fraction
 
 from . import expr as E
-from .number import PartSelector, RzlNumber, from_coefficients
+from .calculus import evaluate
+from .number import PartSelector, RzlNumber, from_coefficients, from_rational
 
 _GROSSONE = "①"
 
@@ -233,22 +239,9 @@ def parse_sequence(text: str):
     tree = _Parser(text, "n").parse()
 
     def term(n: int) -> RzlNumber:
-        from .calculus import evaluate
-        resolved = _resolve_pow(E.substitute(tree, E.Const(n), "n"))
-        return evaluate(resolved, from_coefficients(0, [0]), var="n")
+        return evaluate(tree, from_rational(n), var="n")
 
     return term
-
-
-def _resolve_pow(tree: E.Expr) -> E.Expr:
-    """Turn symbolic powers into integer powers once n is substituted."""
-    from .calculus import eval_scalar
-    if not isinstance(tree, E.PowSym):
-        return tree.rebuild(_resolve_pow)
-    frac = Fraction(eval_scalar(_resolve_pow(tree.exponent), 0))
-    if frac.denominator != 1 or frac < 0:
-        raise ValueError("exponent must resolve to a nonnegative integer")
-    return E.PowInt(_resolve_pow(tree.base), int(frac))
 
 
 def parse_rendered(text: str) -> RzlNumber:

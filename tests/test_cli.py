@@ -213,6 +213,28 @@ def test_no_state_carries_over_between_calls(capsys):
     assert json.loads(got[1])["radii"] == ["eps"]
 
 
+def test_converge_bad_exponent_exit(capsys):
+    code, out, err = run(capsys, "converge", "cc", "--seq", "eps^(sin(n))")
+    assert code == 1 and out == ""
+    assert err == "error: exponent must resolve to a nonnegative integer\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["cc", "--seq", "n", "--terms", "0"],
+    ["hc", "--seq", "n", "--terms", "0"],
+    ["rc", "--seq", "n", "--terms", "0"],
+    ["rc", "--seq", "n", "--terms", "3", "--indices", "-1"],
+    ["cauchy", "--seq", "n", "--terms", "1"],
+    ["cauchy", "--seq", "n", "--terms", "0"],
+], ids=" ".join)
+def test_converge_empty_window_exit(capsys, argv):
+    code, out, _ = run(capsys, "converge", *argv, "--format", "json")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["command"] == "converge"
+    assert "window of" in doc["error"] or "index budget" in doc["error"]
+
+
 @pytest.mark.parametrize("argv", [[]] + [[verb] for verb in _VERBS])
 def test_help_exits_0(capsys, argv):
     with pytest.raises(SystemExit) as exc:

@@ -117,6 +117,16 @@ def test_hyper_cauchy():
     assert direct.is_certified
 
 
+def test_hyper_cauchy_pairwise_modulus():
+    # pairs of eps^a, eps^b (a, b > 10) differ by an infinitesimal of order
+    # 11; row 10 is the highest with a pair at or above eps
+    seq = RzlSequence(lambda n: from_rational(F(1, n)) if n <= 10 else epsilon() ** n,
+                      "1/n then eps^n")
+    v = hyper_cauchy_check(seq, [epsilon()])
+    assert v.is_certified
+    assert v.witness == {"modulus": {0: 10}}
+
+
 def test_hyper_cauchy_checks_each_pair_once(monkeypatch):
     # the default window has 23 consecutive pairs: the n0 scan stops at
     # each one, and the refutation reads them again from the memo
@@ -143,3 +153,24 @@ def test_budget_growth_never_flips_decided_verdicts():
         states = [case(m) for m in (6, 12, 24)]
         decided = [s for s in states if s.value != "unknown"]
         assert len(set(decided)) <= 1
+
+
+@pytest.mark.parametrize("check", [
+    lambda m: cc_check(HARMONIC, zero(), m),
+    lambda m: hc_check(HARMONIC, zero(), [epsilon()], m),
+    lambda m: rc_check(HARMONIC, zero(), m),
+    lambda m: hyper_cauchy_check(HARMONIC, [epsilon()], m + 1),
+], ids=["cc", "hc", "rc", "cauchy"])
+def test_windows_that_inspect_nothing_raise(check):
+    # no term (one term for the hyper-Cauchy pairs) decides nothing
+    with pytest.raises(ValueError, match="window of"):
+        check(0)
+    with pytest.raises(ValueError, match="window of"):
+        check(-3)
+    check(1)   # the smallest window is accepted
+
+
+def test_rc_refuses_a_negative_index_budget():
+    with pytest.raises(ValueError, match="index budget"):
+        rc_check(HARMONIC, zero(), 3, -1)
+    rc_check(HARMONIC, zero(), 3, 0)

@@ -5,8 +5,9 @@ from fractions import Fraction as F
 
 import pytest
 
+from rzl import calculus, parser
 from rzl import expr as E
-from rzl.calculus import evaluate
+from rzl.calculus import eval_scalar, evaluate
 from rzl.number import (
     PartSelector,
     RzlNumber,
@@ -18,9 +19,10 @@ from rzl.number import (
     one,
     zero,
 )
-from rzl.parser import ParseError, parse, parse_rendered, parse_sequence
+from rzl.parser import ParseError, _Parser, parse, parse_rendered, parse_sequence
 from rzl.render import render, render_number
-from rzl.scalar import creal_elementary
+from rzl.scalar import creal_elementary, is_rational_scalar
+from rzl.verdict import DomainError
 
 
 def test_parse_structure_examples():
@@ -144,6 +146,67 @@ def test_sequence_parsing():
     assert shifted(2)[3] == 1
     with pytest.raises(ParseError, match="unknown identifier"):
         parse_sequence("eps^n + x")
+
+
+# The sequence families of the benchmark corpus, and the exponent shapes.
+_SEQUENCE_CORPUS = ("eps^n", "1/n", "1/2/n", "2/n", "1/n + eps", "1/2*eps/n", "n",
+                    "(-1)^n", "2 + eps^n", "1/2 + eps^n", "eps^(n+1)", "(1/2)^n",
+                    "n^n*eps^n", "sin(1/n)", "exp(1/n)*eps")
+
+
+def _rewritten_term(text, n):
+    """A term built by rewriting: n substituted as a constant, each
+    symbolic power turned into an integer power through eval_scalar, then
+    the tree evaluated."""
+    def resolve(t):
+        if not isinstance(t, E.PowSym):
+            return t.rebuild(resolve)
+        k = F(eval_scalar(resolve(t.exponent), 0))
+        assert k.denominator == 1 and k >= 0
+        return E.PowInt(resolve(t.base), int(k))
+
+    tree = resolve(E.substitute(_Parser(text, "n").parse(), E.Const(n), "n"))
+    return evaluate(tree, zero(), var="n")
+
+
+@pytest.mark.parametrize("text", _SEQUENCE_CORPUS)
+def test_sequence_term_matches_rewrite(text):
+    term = parse_sequence(text)
+    for n in range(1, 13):
+        got, want = term(n), _rewritten_term(text, n)
+        for i in range(min(got.low, want.low), 9):
+            a, b = got[i], want[i]
+            if is_rational_scalar(a):
+                assert is_rational_scalar(b) and a == b, (text, n, i)
+            else:
+                assert a.ball(64) == b.ball(64), (text, n, i)
+
+
+def test_sequence_term_is_one_evaluate_call(monkeypatch):
+    # symbolic exponents are read inside that call, not by a second one
+    calls = []
+    real = calculus.evaluate
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(calculus, "evaluate", counted)
+    monkeypatch.setattr(parser, "evaluate", counted)
+    term = parse_sequence("eps^(n+1) + (1/2)^n * n^n")
+    assert term(3)[4] == 1
+    assert len(calls) == 1
+
+
+def test_sequence_exponent_errors():
+    with pytest.raises(ValueError, match="nonnegative integer"):
+        parse_sequence("eps^(sin(n))")(1)
+    with pytest.raises(ValueError, match="nonnegative integer"):
+        parse_sequence("eps^(n-3)")(2)
+    with pytest.raises(ValueError, match="nonnegative integer"):
+        parse_sequence("eps^(n/2)")(3)
+    with pytest.raises(DomainError, match="unit literals have no scalar value"):
+        parse_sequence("2^(n+eps)")(1)
 
 
 @pytest.mark.parametrize("selector", list(PartSelector), ids=lambda s: s.value)
