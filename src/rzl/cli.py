@@ -32,7 +32,7 @@ from .number import DEFAULT_DEPTH, RzlNumber, inverse, zero
 from .order import classify as classify_number
 from .parser import ParseError, parse, parse_sequence
 from .render import DEFAULT_EPS_DIGITS, render
-from .scalar import scalar_str
+from .scalar import CompReal, scalar_str
 from .verdict import DomainError, UndecidedError, Verdict, VerdictState
 
 _EXIT = {VerdictState.CERTIFIED: 0, VerdictState.REFUTED: 2,
@@ -62,7 +62,7 @@ class _ArgumentParser(argparse.ArgumentParser):
 def _jsonable(obj):
     if obj is None or isinstance(obj, (str, int, bool)):
         return obj
-    if isinstance(obj, Fraction):
+    if isinstance(obj, (Fraction, CompReal)):
         return scalar_str(obj)
     if isinstance(obj, RzlNumber):
         return render(obj)

@@ -2,15 +2,17 @@
 
 Coefficients are either exact rationals (`int` / `fractions.Fraction`) or
 `CompReal` values known only through arbitrarily good rational
-approximations.  A `CompReal` never answers equality questions; callers get
-brackets and may escalate precision, which is why every sign decision in
-this package is allowed to come back undecided.
+approximations.  Brackets never prove two computable reals equal; callers
+get brackets and may escalate precision, which is why every sign decision
+in this package is allowed to come back undecided.  Equality is certified
+only from how two values were built: `scalar_eq` compares their DAGs.
 
 Scalars mix through the ordinary operators ``+ - *`` and unary ``-``, the
 package's one mixed-scalar arithmetic: int and Fraction return
 NotImplemented for a `CompReal` partner, so `CompReal`'s reflected
 operators take over.  Exact identities stay exact: x+0, x-0 and x*1 are x
-itself, x*0 is the exact int 0, and x*(-1) and 0-x are -x.
+itself, x*0 is the exact int 0, and x*(-1), 0-x and -x are one node
+shape, a scaling by -1.
 
 A `CompReal` is a node of a DAG evaluated in midpoint-radius ("ball")
 arithmetic at one working precision p, the scheme of Mueller's iRRAM ("The
@@ -74,26 +76,27 @@ class CompReal:
 
     ``CompReal(approx_fn)`` wraps a function n -> rational within 1/n of
     the value; the arithmetic operators, `reciprocal` and
-    `creal_elementary` build DAG nodes over such leaves and rationals.
+    `creal_elementary` build DAG nodes over such leaves and rationals.  A
+    node's value is a function of its op, data and kids, so the DAG is
+    the record of how the value was built.
     """
 
-    __slots__ = ("_op", "_kids", "_data", "_balls", "_memo", "tag")
+    __slots__ = ("_op", "_kids", "_data", "_balls", "_memo")
 
-    def __init__(self, approx_fn, tag="derived"):
+    def __init__(self, approx_fn):
         self._op, self._kids, self._data = _approx_fn_ball, (), approx_fn
-        self._balls, self._memo, self.tag = {}, {}, tag
+        self._balls, self._memo = {}, {}
 
     @classmethod
-    def _node(cls, op, kids, data, tag="derived") -> "CompReal":
+    def _node(cls, op, kids, data) -> "CompReal":
         """A node whose ball at p is op(p, data, *(kid balls at p))."""
-        node = cls(data, tag)
+        node = cls(data)
         node._op, node._kids = op, kids
         return node
 
     @staticmethod
     def from_rational(q) -> "CompReal":
-        q = _as_fraction(q)
-        return CompReal._node(_rational_ball, (), q, tag=f"exact-rational:{q}")
+        return CompReal._node(_rational_ball, (), _as_fraction(q))
 
     def ball(self, p: int) -> tuple[int, int]:
         """(M, R) with |value - M/2^p| <= R/2^p.
@@ -150,8 +153,7 @@ class CompReal:
         return (a - Fraction(1, n), a + Fraction(1, n))
 
     def __neg__(self) -> "CompReal":
-        tag = f"neg:{self.tag}" if self.tag != "derived" else "derived"
-        return CompReal._node(_neg_ball, (self,), None, tag=tag)
+        return CompReal._node(_scale_ball, (self,), Fraction(-1))
 
     def __add__(self, other):
         if not isinstance(other, CompReal):
@@ -185,17 +187,13 @@ class CompReal:
     __rmul__ = __mul__
 
     def _scale(self, q):
-        """self*q for a rational q: 0 gives the exact int 0, 1 gives self
-        and -1 its negation, so exact zeros and provenance tags survive."""
+        """self*q for a rational q: 0 gives the exact int 0 and 1 gives
+        self; any other q, -1 included, is one `_scale_ball` node."""
         if q == 0:
             return 0
         if q == 1:
             return self
-        if q == -1:
-            return -self
-        q = _as_fraction(q)
-        tag = f"scale({q}):{self.tag}" if self.tag != "derived" else "derived"
-        return CompReal._node(_scale_ball, (self,), q, tag=tag)
+        return CompReal._node(_scale_ball, (self,), _as_fraction(q))
 
     def reciprocal(self, lower_bound: Fraction) -> "CompReal":
         """Reciprocal given a certified rational bound 0 < lower_bound <= |value|."""
@@ -248,7 +246,7 @@ class CompReal:
         return None if clear is None else (1 if clear[0] > 0 else -1)
 
     def __repr__(self):
-        return f"CompReal({float(self.approx(10 ** 6)):.6g}, tag={self.tag!r})"
+        return f"CompReal({float(self.approx(10 ** 6)):.6g})"
 
 
 def _promote(x) -> CompReal:
@@ -270,10 +268,6 @@ def _approx_fn_ball(p, fn):
     # fn(2^p) is within one ulp of the value, and flooring it costs one more
     v = _as_fraction(fn(1 << p))
     return (v.numerator << p) // v.denominator, 2
-
-
-def _neg_ball(p, _, a):
-    return -a[0], a[1]
 
 
 def _add_ball(p, _, a, b):
@@ -340,8 +334,7 @@ def creal_elementary(kind: str, q) -> CompReal:
     """exp, sin or cos of an exact rational, with a proven series tail bound."""
     if kind not in ("exp", "sin", "cos"):
         raise ValueError(f"unknown elementary kind {kind!r}")
-    q = _as_fraction(q)
-    return CompReal._node(_series_ball, (), (kind, q), tag=f"series:{kind}({q})")
+    return CompReal._node(_series_ball, (), (kind, _as_fraction(q)))
 
 
 def creal_from_rational(q) -> CompReal:
@@ -374,19 +367,35 @@ def scalar_is_zero(x) -> bool:
     return is_rational_scalar(x) and x == 0
 
 
+def _same_dag(a: CompReal, b: CompReal) -> bool:
+    """True when a and b were built alike: the same op and equal data at
+    every node, and kids that match position by position.  Approximation-
+    function leaves match only as the same function object.  Node pairs
+    are walked from an explicit stack, once each."""
+    stack, seen = [(a, b)], set()
+    while stack:
+        a, b = stack.pop()
+        if a is b or (id(a), id(b)) in seen:
+            continue
+        seen.add((id(a), id(b)))
+        if a._op is not b._op or (a._data is not b._data and
+                                  (a._op is _approx_fn_ball or a._data != b._data)):
+            return False
+        stack.extend(zip(a._kids, b._kids))
+    return True
+
+
 def scalar_eq(a, b, budget: int = PRECISION_BUDGET):
-    """Tri-state equality: True/False when certified, None when undecidable."""
-    if a is b:
-        return True
+    """Tri-state equality: True/False when certified, None when undecidable.
+
+    Brackets only ever prove two values different; True needs two rationals
+    that are equal or two DAGs built alike (`_same_dag`)."""
     if is_rational_scalar(a) and is_rational_scalar(b):
         return a == b
     pa, pb = _promote(a), _promote(b)
-    if pa.tag == pb.tag and not pa.tag.startswith("derived"):
+    if _same_dag(pa, pb):
         return True
-    s = (pa - pb).sign(budget)
-    if s is None:
-        return None
-    return False
+    return None if (pa - pb).sign(budget) is None else False
 
 
 def scalar_abs_within(x, bound: Fraction, budget: int = PRECISION_BUDGET):

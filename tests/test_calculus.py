@@ -58,7 +58,7 @@ def test_eval_examples():
 
 
 def test_eval_undecided_branch_raises():
-    sneaky = CompReal(lambda n: F(1, 2 * n), tag="series:sneaky-zero")
+    sneaky = CompReal(lambda n: F(1, 2 * n))
     from rzl.number import make_number
     z = make_number(0, lambda i: sneaky if i == 0 else 0)
     with pytest.raises(UndecidedError, match="undecided at depth"):
@@ -249,6 +249,26 @@ def test_permeate_depends_on_in_E():
     # at 0 the absolute value itself is undecidable: evaluation refuses
     with pytest.raises(UndecidedError):
         permeate(E.Abs(X), zero())
+
+
+@pytest.mark.parametrize("at", [F(1, 2), F(1, 3)])
+@pytest.mark.parametrize("text, f", [
+    ("sin(x)+cos(x)", lambda m, x: m.sin(x) + m.cos(x)),
+    ("cos(x)-sin(x)", lambda m, x: m.cos(x) - m.sin(x)),
+    ("sin(x)-cos(x)", lambda m, x: m.sin(x) - m.cos(x)),
+], ids=["sin+cos", "cos-sin", "sin-cos"])
+def test_permeate_certifies_sums_of_sin_and_cos(text, f, at):
+    # the quotient's standard part and the classical derivative are the
+    # same sum of series constants, built alike, so scalar_eq proves them
+    # equal where no bracket could
+    mpmath = pytest.importorskip("mpmath")
+    from rzl.parser import parse
+    r = permeate(parse(text), from_rational(at))
+    assert r.in_e.is_certified and r.permeated is not None
+    got = r.permeated.approx(10 ** 9)
+    with mpmath.workdps(50):
+        want = mpmath.diff(lambda x: f(mpmath, x), mpmath.mpf(at.numerator) / at.denominator)
+        assert abs(mpmath.mpf(got.numerator) / got.denominator - want) < mpmath.mpf(10) ** -6
 
 
 def test_eval_scalar_refuses_unit_literals():

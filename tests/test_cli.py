@@ -130,6 +130,15 @@ def test_json_witness_scalars_are_strings(capsys):
     assert doc["report"]["in_E"]["witness"] == ["st", "4", "classical", "4"]
 
 
+def test_json_witness_computable_reals_print_like_coefficients(capsys):
+    code, out, _ = run(capsys, "permeate", "sin(x)", "--at", "1/3", "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["verdict"]["witness"] == ["st", "~0.944957", "classical", "~0.944957"]
+    assert doc["report"]["in_E"]["witness"] == doc["verdict"]["witness"]
+    assert "CompReal" not in out and "tag=" not in out
+
+
 def test_json_error_payload(capsys):
     code, out, _ = run(capsys, "inverse", "0", "--format", "json")
     assert code == 1

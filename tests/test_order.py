@@ -73,7 +73,7 @@ def test_abs_examples():
     assert eq_up_to(abs_val(epsilon() - one()).value, one() - epsilon(), 0, 8)
     # |a| - eps with a = 0 exactly: flips to eps - |a|; with a certified-zero
     # impossible, the verdict must stay open
-    sneaky = CompReal(lambda n: F(1, 2 * n), tag="series:sneaky-zero")
+    sneaky = CompReal(lambda n: F(1, 2 * n))
     from rzl.number import make_number
     z = make_number(0, lambda i: sneaky if i == 0 else (-1 if i == 1 else 0))
     assert abs_val(z, 8).is_unknown
@@ -243,7 +243,7 @@ def test_psi_ball_with_computable_real_center():
     far = from_rational(2)
     assert ball_contains(psi_ball(center, 50), near).is_certified
     assert ball_contains(psi_ball(center, 50), far).is_refuted
-    sneaky = CompReal(lambda n: F(1, 2 * n), tag="series:sneaky-zero")
+    sneaky = CompReal(lambda n: F(1, 2 * n))
     edge = make_number(0, lambda i: sneaky if i == 0 else 0)
     boundary_center = from_rational(F(1, 50))    # gap exactly at the radius
     assert ball_contains(psi_ball(boundary_center, 50), edge,

@@ -2,6 +2,7 @@
 order verdicts are monotone in their budgets, and computable-real balls
 contain the values mpmath computes."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -26,7 +27,7 @@ from rzl.order import (  # noqa: E402
     sign_of,
     st_ball,
 )
-from rzl.scalar import CompReal, scalar_abs_within  # noqa: E402
+from rzl.scalar import CompReal, scalar_abs_within, scalar_eq  # noqa: E402
 
 SETTINGS = settings(deadline=None, max_examples=60, derandomize=True)
 
@@ -305,3 +306,67 @@ def test_bracket_clear_of_matches_the_fraction_loop(leaf_list, step_list, b, bud
             got = node.bracket_clear_of(cuts, budget)
             assert got == _fraction_loop(node, cuts, budget)
             assert got is None or all(type(end) is Fraction for end in got)
+
+
+# -- equality from the structure of the DAG -------------------------------------
+
+def _dag_recipe(leaf_list, step_list):
+    """The DAGs of `test_bracket_clear_of_matches_the_fraction_loop` as
+    (node, make, pure) triples: make() builds the node afresh, and pure
+    says that it was built from exp/sin/cos leaves only."""
+    from rzl.scalar import creal_elementary
+
+    def leaf(kind, q, s):
+        if kind == "fn":
+            return lambda: _floor_leaf(q) * s
+        return lambda: creal_elementary(kind, q) * s
+
+    makes = [leaf(*spec) for spec in leaf_list]
+    nodes = [make() for make in makes]
+    pure = [kind != "fn" for kind, _, _ in leaf_list]
+    for op, i, j, q in step_list:
+        i, j = i % len(nodes), j % len(nodes)
+        (a, make_a), (c, make_c) = (nodes[i], makes[i]), (nodes[j], makes[j])
+        if op in ("/", "rzero"):
+            clear = ((c if op == "/" else a) * q).bracket_clear_of((0,))
+            if clear is None:
+                continue
+            bound = min(abs(clear[0]), abs(clear[1]))
+        if op == "/":
+            def make(make_a=make_a, make_c=make_c, q=q, bound=bound):
+                return make_a() * (make_c() * q).reciprocal(bound)
+        elif op == "zero":
+            def make(make_a=make_a):
+                return make_a() - make_a() * Fraction(1, 3) * 3
+        elif op == "rzero":
+            def make(make_a=make_a, q=q, bound=bound):
+                return ((make_a() * q).reciprocal(bound)
+                        - (make_a() * q * Fraction(1, 3) * 3).reciprocal(bound))
+        else:
+            def make(op=op, make_a=make_a, make_c=make_c, q=q):
+                x, y = make_a(), make_c()
+                return {"+": x + y, "-": x - y, "*": x * y, "scale": x * q}[op]
+        node = make()
+        if isinstance(node, CompReal):
+            makes.append(make)
+            nodes.append(node)
+            pure.append(pure[i] and (pure[j] or op in ("zero", "rzero", "scale")))
+    return list(zip(nodes, makes, pure))
+
+
+@settings(deadline=None, max_examples=60, derandomize=True)
+@given(st.lists(dag_leaves, min_size=1, max_size=3), st.lists(dag_steps, max_size=6))
+def test_scalar_eq_is_true_for_dags_built_alike_and_only_for_equal_values(leaf_list, step_list):
+    """On those random DAGs: a node built from exp/sin/cos leaves only is
+    certified equal to a fresh build of itself, and any two nodes that
+    `scalar_eq` certifies equal, fresh builds included, have approximations
+    at 10^9 within 2/10^9 of each other."""
+    recipe = _dag_recipe(leaf_list, step_list)
+    fresh = [make() for _, make, _ in recipe]
+    for (node, _, pure), again in zip(recipe, fresh):
+        if pure:
+            assert scalar_eq(node, again) is True
+    n = 10 ** 9
+    for a, b in itertools.combinations([node for node, _, _ in recipe] + fresh, 2):
+        if scalar_eq(a, b) is True:
+            assert abs(a.approx(n) - b.approx(n)) <= Fraction(2, n)

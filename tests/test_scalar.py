@@ -130,7 +130,7 @@ def test_approx_deterministic():
 def test_sign_decisions():
     assert creal_elementary("exp", 1).sign() == 1
     assert (-creal_elementary("exp", 1)).sign() == -1
-    sneaky = CompReal(lambda n: F(1, 2 * n), tag="series:sneaky-zero")
+    sneaky = CompReal(lambda n: F(1, 2 * n))
     assert sneaky.sign(budget=2 ** 12) is None
     assert scalar_sign(F(0)) == 0
     assert scalar_sign(F(-3, 4)) == -1
@@ -140,9 +140,9 @@ def test_scalar_eq_tristate():
     assert scalar_eq(F(1, 2), F(2, 4)) is True
     a = creal_elementary("cos", 1)
     b = creal_elementary("cos", 1)
-    assert scalar_eq(a, b) is True            # identical provenance
+    assert scalar_eq(a, b) is True            # built alike
     assert scalar_eq(a, creal_elementary("sin", 1)) is False
-    sneaky = CompReal(lambda n: F(1, 2 * n), tag="derived")
+    sneaky = CompReal(lambda n: F(1, 2 * n))
     assert scalar_eq(sneaky, F(0), budget=2 ** 12) is None
 
 
@@ -152,14 +152,32 @@ def test_scalar_mul_preserves_provenance_through_trivial_ops():
     assert scalar_eq(c * F(1, 2), c * F(1, 2)) is True
 
 
-def _leaf(q, tag):
+def test_scalar_eq_certifies_values_built_alike():
+    cos1 = creal_elementary("cos", 1)
+    assert scalar_eq(cos1, creal_elementary("cos", 1)) is True
+    assert scalar_eq(cos1 * F(1, 2), creal_elementary("cos", 1) * F(1, 2)) is True
+    for x in (_leaf(F(2, 3)), _leaf(F(1, 2)) * _leaf(F(4, 3))):
+        assert scalar_eq(x * -1, -x) is True
+
+
+def test_an_approximation_function_is_no_proof_of_equality():
+    # a leaf matches only the same function object: one that claims to be
+    # sin(1) is not certified equal to it, and no other name can be given
+    forged = CompReal(lambda n: 0)
+    assert scalar_eq(forged, creal_elementary("sin", 1)) is False
+    assert scalar_eq(forged, CompReal(lambda n: 1)) is False
+    with pytest.raises(TypeError):
+        CompReal(lambda n: 0, tag="series:sin(1)")
+
+
+def _leaf(q):
     """A computable real of exact value q whose approximations never are q."""
-    return CompReal(lambda n: q + F(1, 3 * n), tag=tag)
+    return CompReal(lambda n: q + F(1, 3 * n))
 
 
-OPERANDS = {   # name -> (operand, its exact value)
-    "tagged": lambda: (_leaf(F(2, 3), "leaf:2/3"), F(2, 3)),
-    "derived": lambda: (_leaf(F(1, 2), "leaf:1/2") * _leaf(F(4, 3), "leaf:4/3"), F(2, 3)),
+OPERANDS = {   # name -> (operand, its exact value): a leaf and a product
+    "tagged": lambda: (_leaf(F(2, 3)), F(2, 3)),
+    "derived": lambda: (_leaf(F(1, 2)) * _leaf(F(4, 3)), F(2, 3)),
 }
 
 
@@ -172,11 +190,10 @@ def test_operator_rules(name, zero, one, partner):
     assert x * one is x and one * x is x
     assert type(x * zero) is int and type(zero * x) is int
     neg = -x
-    assert (x * -one).tag == (zero - x).tag == neg.tag
+    # x*(-1) - (-x) is exactly 0, so only the structure of the DAGs
+    # certifies these
+    assert scalar_eq(x * -one, neg) is True and scalar_eq(zero - x, neg) is True
     assert (x * -one).ball(64) == (zero - x).ball(64) == neg.ball(64)
-    if name == "tagged":
-        # x*(-1) - (-x) is exactly 0, so only a provenance tag certifies it
-        assert scalar_eq(x * -one, neg) is True
     for op in (operator.add, operator.sub, operator.mul):
         for a, b, va, vb in ((x, partner, v, partner), (partner, x, partner, v),
                              (x, x, v, v)):
@@ -264,11 +281,9 @@ def test_threads_share_one_ball_dag():
 
 
 def test_scalar_eq_of_a_value_with_itself():
-    # the tag rule skips derived nodes, so only identity decides these; c*1
-    # is c itself.  -(-c) is a new node whose difference from c is exactly
-    # 0, which no bracket certifies
+    # c*1 is c itself.  -(-c) is built unlike c, and its difference from c
+    # is exactly 0, which no bracket certifies
     c = creal_elementary("sin", F(1, 3)) * creal_elementary("cos", F(1, 3))
-    assert c.tag == "derived"
     assert scalar_eq(c, c) is True
     assert scalar_eq(c, c * 1) is True
     assert scalar_eq(-(-c), c) is None

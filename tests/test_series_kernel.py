@@ -24,6 +24,7 @@ from rzl.number import (
 from rzl.scalar import (
     creal_elementary,
     is_rational_scalar,
+    scalar_eq,
     scalar_is_zero,
 )
 
@@ -152,12 +153,12 @@ def test_identities_on_a_window(name):
 
 def test_tagged_constants_pass_through():
     # an exact zero partner keeps the series constant itself (or its
-    # negation), so scalar_eq can still certify it by provenance tag
+    # negation), so scalar_eq can still certify it from its structure
     x = one() + epsilon()
-    assert transcendental("sin", x)[0].tag == "series:sin(1)"
-    assert transcendental("sin", x)[1].tag == "series:cos(1)"
-    assert transcendental("cos", x)[1].tag == "neg:series:sin(1)"
-    assert transcendental("exp", x)[0].tag == "series:exp(1)"
+    assert scalar_eq(transcendental("sin", x)[0], creal_elementary("sin", 1)) is True
+    assert scalar_eq(transcendental("sin", x)[1], creal_elementary("cos", 1)) is True
+    assert scalar_eq(transcendental("cos", x)[1], -creal_elementary("sin", 1)) is True
+    assert scalar_eq(transcendental("exp", x)[0], creal_elementary("exp", 1)) is True
     assert transcendental("sin", from_rational(F(1, 3)))[1] == 0
 
 
