@@ -8,6 +8,10 @@ carried over to plain real calculus is a separate, certificate-guarded
 step: permeation requires the quotient's standard part to provably agree
 with the symbolic derivative AND the evaluation point to be provably free
 of nonstandard parts.
+
+`evaluate` is one `expr.walk` with a handler per node class.  A chain of
++ and - evaluates to one termwise stream, and a chain of * to a balanced
+product, so a coefficient read of a long chain does not recurse per term.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ import functools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import expr as E
 from .number import (
@@ -30,6 +35,7 @@ from .number import (
     omega,
     part,
     recurrence,
+    termwise,
 )
 from .order import abs_val
 from .scalar import (
@@ -76,55 +82,97 @@ def _scalar_tree(f: E.Expr) -> E.Expr:
 
 def evaluate(f: E.Expr, x: RzlNumber, depth: int = DEFAULT_DEPTH,
              budget: int = PRECISION_BUDGET, var: str = "x") -> RzlNumber:
-    """Structural evaluation of an expression at a stream point."""
-    x = as_number(x)
+    """Structural evaluation of an expression at a stream point: one walk
+    with the `_EVALUATE` table.  A chain of + and - is one termwise stream
+    and a chain of * a balanced product."""
+    return E.walk(f, _EVALUATE, _Point(as_number(x), var, depth, budget))
 
-    def go(t) -> RzlNumber:
-        if isinstance(t, E.Var):
-            if t.name != var:
-                raise DomainError(f"unbound variable {t.name!r}")
-            return x
-        if isinstance(t, E.Const):
-            return from_scalar(t.value)
-        if isinstance(t, E.EpsilonLit):
-            return epsilon()
-        if isinstance(t, E.OmegaLit):
-            return omega()
-        if isinstance(t, E.Add):
-            return go(t.left) + go(t.right)
-        if isinstance(t, E.Sub):
-            return go(t.left) - go(t.right)
-        if isinstance(t, E.Mul):
-            return go(t.left) * go(t.right)
-        if isinstance(t, E.Div):
-            return divide(go(t.left), go(t.right), depth, budget)
-        if isinstance(t, E.PowInt):
-            return go(t.base) ** t.exponent
-        if isinstance(t, E.PowSym):
-            # the exponent is read at its standard part, like eval_scalar
-            k = go(_scalar_tree(t.exponent))[0]
-            if not is_rational_scalar(k) or Fraction(k).denominator != 1 or k < 0:
-                raise ValueError("exponent must resolve to a nonnegative integer")
-            return go(t.base) ** int(k)
-        if isinstance(t, (E.Sin, E.Cos, E.Exp)):
-            return transcendental(type(t).__name__.lower(), go(t.arg), depth, budget)
-        if isinstance(t, E.Sign):
-            s = scalar_sign(go(t.arg)[0], budget)
-            if s is None:
-                raise UndecidedError("undecided at depth: sign of standard part")
-            return from_scalar(s)
-        if isinstance(t, E.Abs):
-            av = abs_val(go(t.arg), depth, budget)
-            if not av.is_certified:
-                raise UndecidedError("undecided at depth: absolute value", av)
-            return av.value
-        if isinstance(t, E.Part):
-            return part(go(t.arg), t.selector)
-        if isinstance(t, E.PiecewiseSt):
-            return go(branch_taken(t, go(t.subject)[0], budget))
-        raise TypeError(f"unknown node {t!r}")
 
-    return go(f)
+class _Point(NamedTuple):
+    """The per-call state of `evaluate`, the one argument of its handlers."""
+    x: RzlNumber
+    var: str
+    depth: int
+    budget: int
+
+
+def _eval_var(t, at):
+    if t.name != at.var:
+        raise DomainError(f"unbound variable {t.name!r}")
+    return at.x
+
+
+def _eval_sum(t, at):
+    """A left spine of + and - as one `termwise` stream."""
+    spine = []
+    while type(t) is E.Add or type(t) is E.Sub:
+        spine.append(t)
+        t = t.left
+    first, rest = (yield t), []
+    for node in reversed(spine):
+        rest.append((type(node) is E.Add, (yield node.right)))
+    return termwise(first, rest)
+
+
+def _eval_product(t, at):
+    """A left spine of * as one `_balanced` product."""
+    operands = []
+    while type(t) is E.Mul:
+        operands.append(t.right)
+        t = t.left
+    factors = [(yield t)]
+    for node in reversed(operands):
+        factors.append((yield node))
+    return _balanced(factors)
+
+
+def _balanced(factors):
+    """The product as a balanced tree, the left half rounded up, so up to
+    three factors multiply as written: (a*b)*c, (a*b)*(c*d), ..."""
+    if len(factors) == 1:
+        return factors[0]
+    half = (len(factors) + 1) // 2
+    return _balanced(factors[:half]) * _balanced(factors[half:])
+
+
+def _eval_sym_power(t, at):
+    # the exponent is read first, at its standard part
+    k = (yield _scalar_tree(t.exponent))[0]
+    if not is_rational_scalar(k) or Fraction(k).denominator != 1 or k < 0:
+        raise ValueError("exponent must resolve to a nonnegative integer")
+    return (yield t.base) ** int(k)
+
+
+def _eval_sign(t, at):
+    s = scalar_sign((yield t.arg)[0], at.budget)
+    if s is None:
+        raise UndecidedError("undecided at depth: sign of standard part")
+    return from_scalar(s)
+
+
+def _eval_abs(t, at):
+    av = abs_val((yield t.arg), at.depth, at.budget)
+    if not av.is_certified:
+        raise UndecidedError("undecided at depth: absolute value", av)
+    return av.value
+
+
+_EVALUATE = {
+    E.Var: _eval_var,
+    E.Const: lambda t, at: from_scalar(t.value),
+    E.EpsilonLit: lambda t, at: epsilon(),
+    E.OmegaLit: lambda t, at: omega(),
+    E.Add: _eval_sum, E.Sub: _eval_sum, E.Mul: _eval_product,
+    E.Div: lambda t, at: divide((yield t.left), (yield t.right), at.depth, at.budget),
+    E.PowInt: lambda t, at: (yield t.base) ** t.exponent,
+    E.PowSym: _eval_sym_power,
+    **dict.fromkeys((E.Sin, E.Cos, E.Exp), lambda t, at: transcendental(
+        type(t).__name__.lower(), (yield t.arg), at.depth, at.budget)),
+    E.Sign: _eval_sign,
+    E.Abs: _eval_abs,
+    E.Part: lambda t, at: part((yield t.arg), t.selector),
+    E.PiecewiseSt: lambda t, at: (yield branch_taken(t, (yield t.subject)[0], at.budget)),
+}
 
 
 # -- series transcendentals ---------------------------------------------------------
@@ -229,18 +277,18 @@ def _resolve_piecewise(f: E.Expr, x: RzlNumber, budget: int):
     """
     if not E.contains(f, E.PiecewiseSt):
         return f, False
-    boundary = False
+    boundary = []
+    return E.walk(f, _RESOLVE, x, budget, boundary), bool(boundary)
 
-    def go(t):
-        nonlocal boundary
-        if not isinstance(t, E.PiecewiseSt):
-            return t.rebuild(go)
-        st = evaluate(t.subject, x, budget=budget)[0]
-        if is_rational_scalar(st) and st == Fraction(t.bound):
-            boundary = True
-        return go(branch_taken(t, st, budget))
 
-    return go(f), boundary
+def _resolve_branch(t, x, budget, boundary):
+    st = evaluate(t.subject, x, budget=budget)[0]
+    if is_rational_scalar(st) and st == Fraction(t.bound):
+        boundary.append(t)
+    return (yield branch_taken(t, st, budget))
+
+
+_RESOLVE = {**dict.fromkeys(E.NODES, E.rebuilt), E.PiecewiseSt: _resolve_branch}
 
 
 def _compare_derivatives(f: E.Expr, x: RzlNumber, depth: int, budget: int,

@@ -46,7 +46,8 @@ _DASH_HINT = "an expression that starts with '-' goes after '--': rzl eval -- \"
 
 
 def _message(exc: Exception) -> str:
-    # a long chain of operators recurses once per operand
+    # a long sum is one stream and no longer recurses, but the classical
+    # derivative of a long product nests one stream per factor
     return "input too deeply nested" if isinstance(exc, RecursionError) else str(exc)
 
 

@@ -5,6 +5,10 @@ The tree is purely symbolic; evaluation over coefficient streams lives in
 trees: the classical derivative used as the reference for the derivative
 comparison set, substitution for composition, a polynomial classifier that
 the continuity checkers use to certify moduli, and text echo.
+
+Every pass over a tree, here and in `calculus`, is one `walk` with a table
+from node class to handler.  The walk keeps its place on an explicit stack,
+so a pass handles a chain of any length, such as a parsed sum of 10^4 terms.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from types import GeneratorType
 
 from .number import PartSelector
 from .verdict import DomainError
@@ -29,13 +34,12 @@ class Expr:
     def rebuild(self, fn) -> "Expr":
         """A copy with `fn` applied to every direct subtree; a leaf comes
         back unchanged."""
-        names = _subtree_fields(type(self))
-        if not names:
-            return self
-        values = dict(vars(self))
-        for name in names:
-            values[name] = fn(values[name])
-        return type(self)(**values)
+        handler, value = rebuilt(self), None
+        try:
+            while True:
+                value = fn(handler.send(value))
+        except StopIteration as done:
+            return done.value
 
     def __add__(self, other):
         return Add(self, _as_expr(other))
@@ -196,19 +200,71 @@ class PiecewiseSt(Expr):
 
 X = Var()
 
+NODES = tuple(Expr.__subclasses__())   # every node class
+
+
+# -- the one tree walk ---------------------------------------------------------------
+
+def walk(tree: Expr, handlers: dict, *args):
+    """The value of `tree` under a pass: a table from node class to a
+    handler, called as handler(node, *args).
+
+    A handler returns its node's value, or is a generator (a lambda with a
+    `yield` too) that yields each subtree whose value it needs, when it
+    needs it, is sent that value, and returns its node's value.  Suspended
+    handlers wait on an explicit stack, not in nested calls.
+    """
+    stack, node = [], tree
+    while True:
+        handler = handlers.get(type(node))
+        if handler is None:
+            raise TypeError(f"unknown node {node!r}")
+        value = handler(node, *args)
+        if type(value) is GeneratorType:
+            stack.append(value)
+            value = None
+        while stack:
+            try:
+                node = stack[-1].send(value)
+                break
+            except StopIteration as done:
+                stack.pop()
+                value = done.value
+        else:
+            return value
+
+
+def rebuilt(t: Expr, *_):
+    """Handler: t with every subtree replaced by its value."""
+    names = _subtree_fields(type(t))
+    if not names:
+        return t
+    values = dict(vars(t))
+    for name in names:
+        values[name] = yield values[name]
+    return type(t)(**values)
+
 
 def substitute(tree: Expr, replacement: Expr, name: str = "x") -> Expr:
     """Plug `replacement` in for the named variable (composition)."""
-    def go(t):
-        if isinstance(t, Var):
-            return replacement if t.name == name else t
-        return t.rebuild(go)
-    return go(tree)
+    return walk(tree, _SUBSTITUTE, replacement, name)
+
+
+_SUBSTITUTE = {**dict.fromkeys(NODES, rebuilt),
+               Var: lambda t, replacement, name: replacement if t.name == name else t}
 
 
 def contains(tree: Expr, node_types) -> bool:
-    return isinstance(tree, node_types) or any(
-        contains(child, node_types) for child in tree.children())
+    # a subtree shared by several parents, as in a derivative, is seen once
+    stack, seen = [tree], set()
+    while stack:
+        node = stack.pop()
+        if isinstance(node, node_types):
+            return True
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node.children())
+    return False
 
 
 # -- classical symbolic derivative ------------------------------------------------
@@ -220,39 +276,39 @@ def classical_derivative(f: Expr, sign_convention: bool = False) -> Expr:
     `sign_convention=True` a sign node differentiates to zero everywhere
     (its graph is flat across every infinitesimal neighbourhood).
     """
-    def d(t):
-        if isinstance(t, Var):
-            return Const(1)
-        if isinstance(t, Const):
-            return Const(0)
-        if isinstance(t, (EpsilonLit, OmegaLit)):
-            raise DomainError("unit literals are not classical functions")
-        if isinstance(t, Add):
-            return Add(d(t.left), d(t.right))
-        if isinstance(t, Sub):
-            return Sub(d(t.left), d(t.right))
-        if isinstance(t, Mul):
-            return Add(Mul(d(t.left), t.right), Mul(t.left, d(t.right)))
-        if isinstance(t, Div):
-            num = Sub(Mul(d(t.left), t.right), Mul(t.left, d(t.right)))
-            return Div(num, PowInt(t.right, 2))
-        if isinstance(t, PowInt):
-            if t.exponent == 0:
-                return Const(0)
-            return Mul(Mul(Const(t.exponent), PowInt(t.base, t.exponent - 1)),
-                       d(t.base))
-        if isinstance(t, Sin):
-            return Mul(Cos(t.arg), d(t.arg))
-        if isinstance(t, Cos):
-            return Sub(Const(0), Mul(Sin(t.arg), d(t.arg)))
-        if isinstance(t, Exp):
-            return Mul(Exp(t.arg), d(t.arg))
-        if isinstance(t, Sign):
-            if sign_convention:
-                return Const(0)
-            raise DomainError("sign is not in the differentiable fragment")
-        raise DomainError(f"{type(t).__name__} is not in the differentiable fragment")
-    return d(f)
+    return walk(f, _DERIVATIVE, sign_convention)
+
+
+def _d_sign(t, sign_convention):
+    if sign_convention:
+        return Const(0)
+    raise DomainError("sign is not in the differentiable fragment")
+
+
+def _refuse(message):
+    """Handler for a node outside the differentiable fragment."""
+    def handler(t, _):
+        raise DomainError(message.format(type(t).__name__))
+    return handler
+
+
+_DERIVATIVE = {
+    **dict.fromkeys(NODES, _refuse("{} is not in the differentiable fragment")),
+    Var: lambda t, _: Const(1),
+    Const: lambda t, _: Const(0),
+    **dict.fromkeys((EpsilonLit, OmegaLit),
+                    _refuse("unit literals are not classical functions")),
+    **dict.fromkeys((Add, Sub), lambda t, _: type(t)((yield t.left), (yield t.right))),
+    Mul: lambda t, _: Add(Mul((yield t.left), t.right), Mul(t.left, (yield t.right))),
+    Div: lambda t, _: Div(Sub(Mul((yield t.left), t.right), Mul(t.left, (yield t.right))),
+                          PowInt(t.right, 2)),
+    PowInt: lambda t, _: Const(0) if t.exponent == 0 else Mul(
+        Mul(Const(t.exponent), PowInt(t.base, t.exponent - 1)), (yield t.base)),
+    Sin: lambda t, _: Mul(Cos(t.arg), (yield t.arg)),
+    Cos: lambda t, _: Sub(Const(0), Mul(Sin(t.arg), (yield t.arg))),
+    Exp: lambda t, _: Mul(Exp(t.arg), (yield t.arg)),
+    Sign: _d_sign,
+}
 
 
 # -- polynomial classification -----------------------------------------------------
@@ -260,39 +316,28 @@ def classical_derivative(f: Expr, sign_convention: bool = False) -> Expr:
 def as_polynomial(f: Expr, name: str = "x"):
     """Coefficient list (ascending) when f is a rational-coefficient
     polynomial in the named variable, else None."""
-    def go(t):
-        if isinstance(t, Var):
-            return [Fraction(0), Fraction(1)] if t.name == name else None
-        if isinstance(t, Const):
-            return [Fraction(t.value)]
-        if isinstance(t, Add):
-            a, b = go(t.left), go(t.right)
-            return None if a is None or b is None else _poly_add(a, b)
-        if isinstance(t, Sub):
-            a, b = go(t.left), go(t.right)
-            return None if a is None or b is None else _poly_add(a, [-c for c in b])
-        if isinstance(t, Mul):
-            a, b = go(t.left), go(t.right)
-            return None if a is None or b is None else _poly_mul(a, b)
-        if isinstance(t, Div):
-            a, b = go(t.left), go(t.right)
-            if a is None or b is None or len(_poly_trim(b)) != 1:
-                return None
-            c = b[0]
-            if c == 0:
-                return None
-            return [q / c for q in a]
-        if isinstance(t, PowInt):
-            a = go(t.base)
-            if a is None:
-                return None
-            out = [Fraction(1)]
-            for _ in range(t.exponent):
-                out = _poly_mul(out, a)
-            return out
-        return None
-    coeffs = go(f)
+    coeffs = walk(f, _POLYNOMIAL, name)
     return None if coeffs is None else _poly_trim(coeffs)
+
+
+def _poly_binary(combine):
+    """Handler: combine(left, right) of two polynomials, None as soon as
+    one side is not a polynomial."""
+    def handler(t, _):
+        a = yield t.left
+        b = None if a is None else (yield t.right)
+        return None if b is None else combine(a, b)
+    return handler
+
+
+def _poly_power(t, _):
+    a = yield t.base
+    if a is None:
+        return None
+    out = [Fraction(1)]
+    for _ in range(t.exponent):
+        out = _poly_mul(out, a)
+    return out
 
 
 def _poly_add(a, b):
@@ -315,6 +360,19 @@ def _poly_trim(a):
     while len(a) > 1 and a[-1] == 0:
         a = a[:-1]
     return [Fraction(c) for c in a]
+
+
+_POLYNOMIAL = {
+    **dict.fromkeys(NODES, lambda t, _: None),
+    Var: lambda t, name: [Fraction(0), Fraction(1)] if t.name == name else None,
+    Const: lambda t, _: [Fraction(t.value)],
+    Add: _poly_binary(_poly_add),
+    Sub: _poly_binary(lambda a, b: _poly_add(a, [-c for c in b])),
+    Mul: _poly_binary(_poly_mul),
+    Div: _poly_binary(lambda a, b: [q / b[0] for q in a]
+                      if len(_poly_trim(b)) == 1 and b[0] != 0 else None),
+    PowInt: _poly_power,
+}
 
 
 def poly_local_lipschitz(coeffs, center: Fraction) -> Fraction:
@@ -353,37 +411,40 @@ _PART_TEXT = {
 def to_text(f: Expr, grossone: bool = False) -> str:
     """Render an expression back to parseable surface syntax.  With
     `grossone=True` the infinite unit echoes as the circled-one symbol."""
-    def bin_(t, sym, prec):
-        return f"{go(t.left, prec)} {sym} {go(t.right, prec + 1)}"
+    return walk(f, _TEXT, grossone)
 
-    def go(t, parent_prec=0):
-        if isinstance(t, Var):
-            return t.name
-        if isinstance(t, Const):
-            v = Fraction(t.value)
-            s = str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
-            return s if v >= 0 else f"({s})"
-        if isinstance(t, EpsilonLit):
-            return "eps"
-        if isinstance(t, OmegaLit):
-            return _GROSSONE if grossone else "w"
-        if isinstance(t, (Add, Sub)):
-            text = bin_(t, "+" if isinstance(t, Add) else "-", 1)
-            return f"({text})" if parent_prec > 1 else text
-        if isinstance(t, (Mul, Div)):
-            text = bin_(t, "*" if isinstance(t, Mul) else "/", 2)
-            return f"({text})" if parent_prec > 2 else text
-        if isinstance(t, PowInt):
-            return f"{go(t.base, 4)}^{t.exponent}"
-        if isinstance(t, PowSym):
-            return f"{go(t.base, 4)}^({go(t.exponent)})"
-        if isinstance(t, (Sin, Cos, Exp, Sign, Abs)):
-            fname = type(t).__name__.lower()
-            return f"{fname}({go(t.arg)})"
-        if isinstance(t, Part):
-            return _PART_TEXT[t.selector].format(go(t.arg))
-        if isinstance(t, PiecewiseSt):
-            return (f"piecewise(St({go(t.subject)}) {t.op} {t.bound}, "
-                    f"{go(t.then_branch)}, {go(t.else_branch)})")
-        raise TypeError(f"unknown node {t!r}")
-    return go(f)
+
+# A + or - node binds at 1 and a * or / node at 2; an operand placed at a
+# higher precedence than its node binds at gets parentheses.
+_BINDING = {Add: 1, Sub: 1, Mul: 2, Div: 2}
+
+
+def _infix(sym, prec):
+    def handler(t, _):
+        left, right = (yield t.left), (yield t.right)
+        return f"{_operand(left, t.left, prec)} {sym} {_operand(right, t.right, prec + 1)}"
+    return handler
+
+
+def _operand(text, t, prec):
+    return f"({text})" if _BINDING.get(type(t), prec) < prec else text
+
+
+def _piecewise_text(t, _):
+    subject, then, else_ = (yield t.subject), (yield t.then_branch), (yield t.else_branch)
+    return f"piecewise(St({subject}) {t.op} {t.bound}, {then}, {else_})"
+
+
+_TEXT = {
+    Var: lambda t, _: t.name,
+    Const: lambda t, _: str(Fraction(t.value)) if t.value >= 0 else f"({Fraction(t.value)})",
+    EpsilonLit: lambda t, _: "eps",
+    OmegaLit: lambda t, grossone: _GROSSONE if grossone else "w",
+    Add: _infix("+", 1), Sub: _infix("-", 1), Mul: _infix("*", 2), Div: _infix("/", 2),
+    PowInt: lambda t, _: f"{_operand((yield t.base), t.base, 4)}^{t.exponent}",
+    PowSym: lambda t, _: f"{_operand((yield t.base), t.base, 4)}^({(yield t.exponent)})",
+    **dict.fromkeys((Sin, Cos, Exp, Sign, Abs),
+                    lambda t, _: f"{type(t).__name__.lower()}({(yield t.arg)})"),
+    Part: lambda t, _: _PART_TEXT[t.selector].format((yield t.arg)),
+    PiecewiseSt: _piecewise_text,
+}

@@ -16,7 +16,6 @@ explicit, depth-bounded normalizer is `leading_index`.
 from __future__ import annotations
 
 import functools
-import operator
 from enum import Enum
 from fractions import Fraction
 from math import gcd
@@ -70,19 +69,9 @@ class RzlNumber:
 
     # -- arithmetic ----------------------------------------------------------
 
-    def _termwise(self, other, op):
-        """The stream i -> op(self[i], other[i]), for sums and differences."""
-        other = as_number(other)
-        if other is NotImplemented:
-            return NotImplemented
-        fs = None
-        if self.finite_support is not None and other.finite_support is not None:
-            fs = max(self.finite_support, other.finite_support)
-        return RzlNumber(min(self.low, other.low),
-                         lambda i: op(self[i], other[i]), fs)
-
     def __add__(self, other):
-        return self._termwise(other, operator.add)
+        other = as_number(other)
+        return other if other is NotImplemented else termwise(self, ((True, other),))
 
     __radd__ = __add__
 
@@ -90,10 +79,12 @@ class RzlNumber:
         return RzlNumber(self.low, lambda i: -self[i], self.finite_support)
 
     def __sub__(self, other):
-        return self._termwise(other, operator.sub)
+        other = as_number(other)
+        return other if other is NotImplemented else termwise(self, ((False, other),))
 
     def __rsub__(self, other):
-        return self._termwise(other, lambda a, b: b - a)
+        other = as_number(other)
+        return other if other is NotImplemented else termwise(other, ((False, self),))
 
     def __mul__(self, other):
         other = as_number(other)
@@ -156,6 +147,24 @@ def as_number(x):
     if is_rational_scalar(x):
         return from_scalar(x)
     return NotImplemented
+
+
+def termwise(first: RzlNumber, rest) -> RzlNumber:
+    """first + s1 - s2 ... as one stream, for `rest` the (is_add, s) pairs.
+    Coefficient i is folded from the left, so it has the value, type and
+    DAG of a chain of binary sums, but a read is one memo and one frame."""
+    low, fs = first.low, first.finite_support
+    for _, s in rest:
+        low = min(low, s.low)
+        fs = None if fs is None or s.finite_support is None else max(fs, s.finite_support)
+
+    def coeff(i):
+        acc = first[i]
+        for is_add, s in rest:
+            acc = acc + s[i] if is_add else acc - s[i]
+        return acc
+
+    return RzlNumber(low, coeff, fs)
 
 
 # -- constructors -------------------------------------------------------------

@@ -231,9 +231,14 @@ class CompReal:
                 need = max((t // e for e, t in gaps), default=0)
                 first = max(n, 1 << need.bit_length())
             last = n
-            while last != first and (2 * last <= budget and r * 2 * last <= 1 << p
-                                     and _first_precision(2 * last) == p):
-                last *= 2
+            if first != n and (2 * n <= budget and r * 2 * n <= 1 << p
+                               and _first_precision(2 * n) == p):
+                # the band ends at the last power of two within the caps; `_grid`
+                # rounds up and fixes p, so _first_precision(n') <= p iff
+                # n'.bit_length() + _GUARD_BITS <= p
+                cap = min(budget, (1 << (p - _GUARD_BITS)) - 1, (1 << p) // r if r else budget)
+                last = 1 << (cap.bit_length() - 1)
+                last = last if first is None else min(first, last)
             if last == first:
                 return (Fraction(m * last - (1 << p), last << p),
                         Fraction(m * last + (1 << p), last << p))

@@ -172,12 +172,30 @@ def test_deep_nesting_exit(capsys):
 
 
 def test_deep_sum_exit(capsys):
+    # a long sum is one stream; the classical derivative of a long product
+    # still nests one stream per factor
     deep_sum = "+".join(["eps"] * 1500)
-    code, _, err = run(capsys, "eval", deep_sum)
-    assert code == 1 and err.strip() == "error: input too deeply nested"
+    code, out, _ = run(capsys, "eval", deep_sum)
+    assert code == 0 and out.strip() == "^0, 1500, 0, 0, 0, 0, 0, ..."
     code, out, _ = run(capsys, "eval", deep_sum, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["result"]["coefficients"][1] == {"index": 1, "value": "1500"}
+    deep_product = "*".join(["x"] * 1500)
+    code, _, err = run(capsys, "der", deep_product)
+    assert code == 1 and err.strip() == "error: input too deeply nested"
+    code, out, _ = run(capsys, "der", deep_product, "--format", "json")
     assert code == 1
-    assert json.loads(out) == {"command": "eval", "error": "input too deeply nested"}
+    assert json.loads(out) == {"command": "der", "error": "input too deeply nested"}
+
+
+def test_deep_sum_verbs_exit_0(capsys):
+    deep_sum = "+".join(["x"] * 1500)
+    code, out, _ = run(capsys, "eval", deep_sum, "--at", "1/3")
+    assert code == 0 and out.strip() == "^500, 0, 0, 0, 0, 0, 0, ..."
+    code, out, _ = run(capsys, "der", deep_sum)
+    assert code == 0 and "permeated = 1500" in out
+    code, out, _ = run(capsys, "continuity", deep_sum, "--at", "1/3")
+    assert code == 0 and out.startswith("(0,0)-continuity: certified")
 
 
 def test_usage_errors_exit_1(capsys):
@@ -200,12 +218,13 @@ def test_repl(capsys, monkeypatch):
 
 
 def test_repl_goes_on_after_deep_sum(capsys, monkeypatch):
-    lines = iter(["+".join(["eps"] * 1500), "eps", ":q"])
+    lines = iter(["+".join(["eps"] * 1500), "1/0", "eps", ":q"])
     monkeypatch.setattr("builtins.input", lambda prompt="": next(lines))
     assert main([]) == 0
     out = capsys.readouterr()
-    assert "error: input too deeply nested" in out.err
-    assert out.out.strip() == "^0, 1, 0, 0, 0, 0, 0, ..."
+    assert "error: division by zero" in out.err
+    assert out.out.split("\n")[:2] == ["^0, 1500, 0, 0, 0, 0, 0, ...",
+                                        "^0, 1, 0, 0, 0, 0, 0, ..."]
 
 
 def test_parser_is_built_once():

@@ -12,6 +12,7 @@ import pytest
 from rzl.scalar import (
     PRECISION_BUDGET,
     CompReal,
+    _first_precision,
     creal_elementary,
     creal_from_rational,
     scalar_abs_within,
@@ -355,3 +356,14 @@ def test_undecided_escalation_reads_one_ball_per_band(monkeypatch):
         F.__new__ = new
     assert clear is None
     assert len(balls) <= 4 and fractions == []
+
+
+def test_undecided_escalation_finds_band_ends_in_closed_form(monkeypatch):
+    # each band's end follows from its working precision; doubling n to
+    # find it made 22 `_first_precision` calls for this escalation
+    calls = []
+    monkeypatch.setattr("rzl.scalar._first_precision",
+                        lambda n: calls.append(n) or _first_precision(n))
+    z = creal_elementary("sin", F(1, 3)) - creal_elementary("sin", F(1, 3))
+    assert z.bracket_clear_of((0,), PRECISION_BUDGET) is None
+    assert len(calls) <= 4
