@@ -20,7 +20,7 @@ import functools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
+from types import SimpleNamespace
 
 from . import expr as E
 from .number import (
@@ -83,17 +83,9 @@ def _scalar_tree(f: E.Expr) -> E.Expr:
 def evaluate(f: E.Expr, x: RzlNumber, depth: int = DEFAULT_DEPTH,
              budget: int = PRECISION_BUDGET, var: str = "x") -> RzlNumber:
     """Structural evaluation of an expression at a stream point: one walk
-    with the `_EVALUATE` table.  A chain of + and - is one termwise stream
-    and a chain of * a balanced product."""
-    return E.walk(f, _EVALUATE, _Point(as_number(x), var, depth, budget))
-
-
-class _Point(NamedTuple):
-    """The per-call state of `evaluate`, the one argument of its handlers."""
-    x: RzlNumber
-    var: str
-    depth: int
-    budget: int
+    with the `_EVALUATE` table, each node of a DAG evaluated once."""
+    at = SimpleNamespace(x=as_number(x), var=var, depth=depth, budget=budget, parents={})
+    return E.walk(f, _EVALUATE, at, memo={})
 
 
 def _eval_var(t, at):
@@ -102,13 +94,23 @@ def _eval_var(t, at):
     return at.x
 
 
+def _spine(t, kinds, at):
+    """t and the nodes down its left spine of the classes `kinds`, top
+    first.  The spine ends at a node reached before from another parent, so
+    a shared subtree, such as a prefix of a chain in its derivative, is one
+    operand, evaluated once."""
+    spine = [t]
+    at.parents.setdefault(id(t), None)
+    while type(t.left) in kinds and at.parents.setdefault(id(t.left), id(t)) == id(t):
+        t = t.left
+        spine.append(t)
+    return spine
+
+
 def _eval_sum(t, at):
     """A left spine of + and - as one `termwise` stream."""
-    spine = []
-    while type(t) is E.Add or type(t) is E.Sub:
-        spine.append(t)
-        t = t.left
-    first, rest = (yield t), []
+    spine = _spine(t, (E.Add, E.Sub), at)
+    first, rest = (yield spine[-1].left), []
     for node in reversed(spine):
         rest.append((type(node) is E.Add, (yield node.right)))
     return termwise(first, rest)
@@ -116,13 +118,10 @@ def _eval_sum(t, at):
 
 def _eval_product(t, at):
     """A left spine of * as one `_balanced` product."""
-    operands = []
-    while type(t) is E.Mul:
-        operands.append(t.right)
-        t = t.left
-    factors = [(yield t)]
-    for node in reversed(operands):
-        factors.append((yield node))
+    spine = _spine(t, (E.Mul,), at)
+    factors = [(yield spine[-1].left)]
+    for node in reversed(spine):
+        factors.append((yield node.right))
     return _balanced(factors)
 
 

@@ -46,8 +46,7 @@ _DASH_HINT = "an expression that starts with '-' goes after '--': rzl eval -- \"
 
 
 def _message(exc: Exception) -> str:
-    # a long sum is one stream and no longer recurses, but the classical
-    # derivative of a long product nests one stream per factor
+    # the classical derivative of a long product nests one stream per factor
     return "input too deeply nested" if isinstance(exc, RecursionError) else str(exc)
 
 

@@ -7,8 +7,8 @@ comparison set, substitution for composition, a polynomial classifier that
 the continuity checkers use to certify moduli, and text echo.
 
 Every pass over a tree, here and in `calculus`, is one `walk` with a table
-from node class to handler.  The walk keeps its place on an explicit stack,
-so a pass handles a chain of any length, such as a parsed sum of 10^4 terms.
+from node class to handler, kept on an explicit stack: a chain of any
+length passes.
 """
 
 from __future__ import annotations
@@ -205,31 +205,35 @@ NODES = tuple(Expr.__subclasses__())   # every node class
 
 # -- the one tree walk ---------------------------------------------------------------
 
-def walk(tree: Expr, handlers: dict, *args):
+def walk(tree: Expr, handlers: dict, *args, memo: dict | None = None):
     """The value of `tree` under a pass: a table from node class to a
-    handler, called as handler(node, *args).
-
-    A handler returns its node's value, or is a generator (a lambda with a
-    `yield` too) that yields each subtree whose value it needs, when it
-    needs it, is sent that value, and returns its node's value.  Suspended
-    handlers wait on an explicit stack, not in nested calls.
-    """
+    handler, called as handler(node, *args).  A handler returns its node's
+    value, or is a generator that yields each subtree whose value it needs,
+    when it needs it, and is sent that value.  Suspended handlers wait on an
+    explicit stack.  With a `memo` dict, a node met again (a shared subtree
+    of a DAG) keeps the value of its first visit."""
     stack, node = [], tree
     while True:
-        handler = handlers.get(type(node))
-        if handler is None:
-            raise TypeError(f"unknown node {node!r}")
-        value = handler(node, *args)
-        if type(value) is GeneratorType:
-            stack.append(value)
-            value = None
+        if memo is not None and id(node) in memo:
+            value = memo[id(node)]
+        else:
+            handler = handlers.get(type(node))
+            if handler is None:
+                raise TypeError(f"unknown node {node!r}")
+            value = handler(node, *args)
+            if type(value) is GeneratorType:
+                stack.append((value, node))
+                value = None
         while stack:
+            handler, node = stack[-1]
             try:
-                node = stack[-1].send(value)
+                node = handler.send(value)
                 break
             except StopIteration as done:
                 stack.pop()
                 value = done.value
+                if memo is not None:
+                    memo[id(node)] = value
         else:
             return value
 
@@ -279,25 +283,24 @@ def classical_derivative(f: Expr, sign_convention: bool = False) -> Expr:
     return walk(f, _DERIVATIVE, sign_convention)
 
 
-def _d_sign(t, sign_convention):
-    if sign_convention:
+_OUTSIDE = {EpsilonLit: "unit literals are not classical functions",
+            OmegaLit: "unit literals are not classical functions",
+            Sign: "sign is not in the differentiable fragment"}
+
+
+def _d_outside(t, sign_convention):
+    """Handler for a node outside the differentiable fragment, where the
+    sign convention makes a sign node's derivative zero."""
+    if type(t) is Sign and sign_convention:
         return Const(0)
-    raise DomainError("sign is not in the differentiable fragment")
-
-
-def _refuse(message):
-    """Handler for a node outside the differentiable fragment."""
-    def handler(t, _):
-        raise DomainError(message.format(type(t).__name__))
-    return handler
+    raise DomainError(_OUTSIDE.get(type(t), f"{type(t).__name__} is not in the "
+                                            "differentiable fragment"))
 
 
 _DERIVATIVE = {
-    **dict.fromkeys(NODES, _refuse("{} is not in the differentiable fragment")),
+    **dict.fromkeys(NODES, _d_outside),
     Var: lambda t, _: Const(1),
     Const: lambda t, _: Const(0),
-    **dict.fromkeys((EpsilonLit, OmegaLit),
-                    _refuse("unit literals are not classical functions")),
     **dict.fromkeys((Add, Sub), lambda t, _: type(t)((yield t.left), (yield t.right))),
     Mul: lambda t, _: Add(Mul((yield t.left), t.right), Mul(t.left, (yield t.right))),
     Div: lambda t, _: Div(Sub(Mul((yield t.left), t.right), Mul(t.left, (yield t.right))),
@@ -307,7 +310,6 @@ _DERIVATIVE = {
     Sin: lambda t, _: Mul(Cos(t.arg), (yield t.arg)),
     Cos: lambda t, _: Sub(Const(0), Mul(Sin(t.arg), (yield t.arg))),
     Exp: lambda t, _: Mul(Exp(t.arg), (yield t.arg)),
-    Sign: _d_sign,
 }
 
 
@@ -330,14 +332,8 @@ def _poly_binary(combine):
     return handler
 
 
-def _poly_power(t, _):
-    a = yield t.base
-    if a is None:
-        return None
-    out = [Fraction(1)]
-    for _ in range(t.exponent):
-        out = _poly_mul(out, a)
-    return out
+def _poly_power(a, k):
+    return None if a is None else functools.reduce(_poly_mul, [a] * k, [Fraction(1)])
 
 
 def _poly_add(a, b):
@@ -371,7 +367,7 @@ _POLYNOMIAL = {
     Mul: _poly_binary(_poly_mul),
     Div: _poly_binary(lambda a, b: [q / b[0] for q in a]
                       if len(_poly_trim(b)) == 1 and b[0] != 0 else None),
-    PowInt: _poly_power,
+    PowInt: lambda t, _: _poly_power((yield t.base), t.exponent),
 }
 
 
@@ -446,5 +442,6 @@ _TEXT = {
     **dict.fromkeys((Sin, Cos, Exp, Sign, Abs),
                     lambda t, _: f"{type(t).__name__.lower()}({(yield t.arg)})"),
     Part: lambda t, _: _PART_TEXT[t.selector].format((yield t.arg)),
-    PiecewiseSt: _piecewise_text,
+    PiecewiseSt: lambda t, _: (f"piecewise(St({(yield t.subject)}) {t.op} {t.bound}, "
+                               f"{(yield t.then_branch)}, {(yield t.else_branch)})"),
 }

@@ -180,6 +180,32 @@ def test_every_pass_runs_on_long_chains(recursion_limit_1000, op, n):
     assert E.to_text(resolved) == E.to_text(tree) and not boundary
 
 
+@pytest.mark.parametrize("op", ["*", "/"])
+def test_a_derivative_dag_evaluates_each_node_once(monkeypatch, recursion_limit_1000, op):
+    # the derivative of a chain shares the chain's prefixes, so evaluating
+    # it node by node would build O(n^2) streams
+    built = []
+    init = number.RzlNumber.__init__
+    monkeypatch.setattr(number.RzlNumber, "__init__",
+                        lambda self, *args, **kw: built.append(1) or init(self, *args, **kw))
+    evaluate(E.classical_derivative(parse(op.join(["x"] * 1500))), from_rational(2))
+    assert len(built) < 10 * 1500
+    # a long prefix shared with another parent is still one stream or one
+    # balanced product
+    chain = parse({"*": "*", "/": "+"}[op].join(["x"] * 1500))
+    assert evaluate(E.Add(chain, chain.left), one() + epsilon())[1] == 1500 + 1499
+    # a shorter one reads its value, the same as the recursive evaluation's
+    for tree in (parse(op.join(["x"] * 40)), parse(f"sin(x){op}x{op}x{op}cos(x){op}x")):
+        derivative, x = E.classical_derivative(tree), from_rational(F(1, 3)) + epsilon()
+        for a, b in zip(_coefficients(evaluate, derivative, x, "x"),
+                        _coefficients(ref.evaluate, derivative, x, "x")):
+            if is_rational_scalar(b):
+                assert type(a) is type(b) and a == b
+            else:
+                (lo_a, hi_a), (lo_b, hi_b) = a.bracket(10 ** 9), b.bracket(10 ** 9)
+                assert lo_a <= hi_b and lo_b <= hi_a
+
+
 def test_a_long_sum_is_one_termwise_stream(monkeypatch, recursion_limit_1000):
     entries = []
 
