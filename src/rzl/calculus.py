@@ -9,9 +9,8 @@ step: permeation requires the quotient's standard part to provably agree
 with the symbolic derivative AND the evaluation point to be provably free
 of nonstandard parts.
 
-`evaluate` is one `expr.walk` with a handler per node class.  A chain of
-+ and - evaluates to one termwise stream, and a chain of * to a balanced
-product, so a coefficient read of a long chain does not recurse per term.
+`evaluate` is one `expr.walk` with a handler per node class; each
+operator node evaluates to the binary stream operator.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ from .number import (
     omega,
     part,
     recurrence,
-    termwise,
 )
 from .order import abs_val
 from .scalar import (
@@ -84,7 +82,7 @@ def evaluate(f: E.Expr, x: RzlNumber, depth: int = DEFAULT_DEPTH,
              budget: int = PRECISION_BUDGET, var: str = "x") -> RzlNumber:
     """Structural evaluation of an expression at a stream point: one walk
     with the `_EVALUATE` table, each node of a DAG evaluated once."""
-    at = SimpleNamespace(x=as_number(x), var=var, depth=depth, budget=budget, parents={})
+    at = SimpleNamespace(x=as_number(x), var=var, depth=depth, budget=budget)
     return E.walk(f, _EVALUATE, at, memo={})
 
 
@@ -92,46 +90,6 @@ def _eval_var(t, at):
     if t.name != at.var:
         raise DomainError(f"unbound variable {t.name!r}")
     return at.x
-
-
-def _spine(t, kinds, at):
-    """t and the nodes down its left spine of the classes `kinds`, top
-    first.  The spine ends at a node reached before from another parent, so
-    a shared subtree, such as a prefix of a chain in its derivative, is one
-    operand, evaluated once."""
-    spine = [t]
-    at.parents.setdefault(id(t), None)
-    while type(t.left) in kinds and at.parents.setdefault(id(t.left), id(t)) == id(t):
-        t = t.left
-        spine.append(t)
-    return spine
-
-
-def _eval_sum(t, at):
-    """A left spine of + and - as one `termwise` stream."""
-    spine = _spine(t, (E.Add, E.Sub), at)
-    first, rest = (yield spine[-1].left), []
-    for node in reversed(spine):
-        rest.append((type(node) is E.Add, (yield node.right)))
-    return termwise(first, rest)
-
-
-def _eval_product(t, at):
-    """A left spine of * as one `_balanced` product."""
-    spine = _spine(t, (E.Mul,), at)
-    factors = [(yield spine[-1].left)]
-    for node in reversed(spine):
-        factors.append((yield node.right))
-    return _balanced(factors)
-
-
-def _balanced(factors):
-    """The product as a balanced tree, the left half rounded up, so up to
-    three factors multiply as written: (a*b)*c, (a*b)*(c*d), ..."""
-    if len(factors) == 1:
-        return factors[0]
-    half = (len(factors) + 1) // 2
-    return _balanced(factors[:half]) * _balanced(factors[half:])
 
 
 def _eval_sym_power(t, at):
@@ -161,7 +119,9 @@ _EVALUATE = {
     E.Const: lambda t, at: from_scalar(t.value),
     E.EpsilonLit: lambda t, at: epsilon(),
     E.OmegaLit: lambda t, at: omega(),
-    E.Add: _eval_sum, E.Sub: _eval_sum, E.Mul: _eval_product,
+    E.Add: lambda t, at: (yield t.left) + (yield t.right),
+    E.Sub: lambda t, at: (yield t.left) - (yield t.right),
+    E.Mul: lambda t, at: (yield t.left) * (yield t.right),
     E.Div: lambda t, at: divide((yield t.left), (yield t.right), at.depth, at.budget),
     E.PowInt: lambda t, at: (yield t.base) ** t.exponent,
     E.PowSym: _eval_sym_power,

@@ -46,7 +46,8 @@ _DASH_HINT = "an expression that starts with '-' goes after '--': rzl eval -- \"
 
 
 def _message(exc: Exception) -> str:
-    # the classical derivative of a long product nests one stream per factor
+    # a read deeper than the recursion limit is finished by a read half the
+    # limit above it; one that makes no progress so still raises this
     return "input too deeply nested" if isinstance(exc, RecursionError) else str(exc)
 
 

@@ -316,11 +316,16 @@ _DERIVATIVE = {
 # -- polynomial classification -----------------------------------------------------
 
 def as_polynomial(f: Expr, name: str = "x"):
-    """Coefficient list (ascending) when f is a rational-coefficient
-    polynomial in the named variable, else None."""
-    coeffs = walk(f, _POLYNOMIAL, name)
-    return None if coeffs is None else _poly_trim(coeffs)
+    """Coefficient list (ascending, no trailing zeros) when f is a
+    rational-coefficient polynomial in the named variable, else None."""
+    terms = walk(f, _POLYNOMIAL, name)
+    if terms is None:
+        return None
+    return [terms.get(k, Fraction(0)) for k in range(max(terms, default=0) + 1)]
 
+
+# A polynomial is held as a dict from exponent to nonzero coefficient, so
+# multiplying x^k by x is one term, whatever k is.
 
 def _poly_binary(combine):
     """Handler: combine(left, right) of two polynomials, None as soon as
@@ -333,40 +338,33 @@ def _poly_binary(combine):
 
 
 def _poly_power(a, k):
-    return None if a is None else functools.reduce(_poly_mul, [a] * k, [Fraction(1)])
+    return None if a is None else functools.reduce(_poly_mul, [a] * k, {0: Fraction(1)})
 
 
-def _poly_add(a, b):
-    n = max(len(a), len(b))
-    return [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
-            for i in range(n)]
+def _poly_add(a, b, sign=1):
+    out = dict(a)
+    for k, c in b.items():
+        out[k] = out.get(k, 0) + sign * c
+    return {k: c for k, c in out.items() if c}
 
 
 def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return out
-
-
-def _poly_trim(a):
-    while len(a) > 1 and a[-1] == 0:
-        a = a[:-1]
-    return [Fraction(c) for c in a]
+    out = {}
+    for i, x in a.items():
+        for j, y in b.items():
+            out[i + j] = out.get(i + j, 0) + x * y
+    return {k: c for k, c in out.items() if c}
 
 
 _POLYNOMIAL = {
     **dict.fromkeys(NODES, lambda t, _: None),
-    Var: lambda t, name: [Fraction(0), Fraction(1)] if t.name == name else None,
-    Const: lambda t, _: [Fraction(t.value)],
+    Var: lambda t, name: {1: Fraction(1)} if t.name == name else None,
+    Const: lambda t, _: {0: Fraction(t.value)} if t.value else {},
     Add: _poly_binary(_poly_add),
-    Sub: _poly_binary(lambda a, b: _poly_add(a, [-c for c in b])),
+    Sub: _poly_binary(lambda a, b: _poly_add(a, b, -1)),
     Mul: _poly_binary(_poly_mul),
-    Div: _poly_binary(lambda a, b: [q / b[0] for q in a]
-                      if len(_poly_trim(b)) == 1 and b[0] != 0 else None),
+    Div: _poly_binary(lambda a, b: {k: c / b[0] for k, c in a.items()}
+                      if b.keys() == {0} else None),
     PowInt: lambda t, _: _poly_power((yield t.base), t.exponent),
 }
 
@@ -424,11 +422,6 @@ def _infix(sym, prec):
 
 def _operand(text, t, prec):
     return f"({text})" if _BINDING.get(type(t), prec) < prec else text
-
-
-def _piecewise_text(t, _):
-    subject, then, else_ = (yield t.subject), (yield t.then_branch), (yield t.else_branch)
-    return f"piecewise(St({subject}) {t.op} {t.bound}, {then}, {else_})"
 
 
 _TEXT = {

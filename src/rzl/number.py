@@ -16,6 +16,8 @@ explicit, depth-bounded normalizer is `leading_index`.
 from __future__ import annotations
 
 import functools
+import operator
+import sys
 from enum import Enum
 from fractions import Fraction
 from math import gcd
@@ -60,18 +62,32 @@ class RzlNumber:
         memo = self._memo
         if i in memo:
             return memo[i]
-        v = self._fn(i)
-        memo[i] = v
-        return v
+        try:
+            v = self._fn(i)
+        except _Deeper as exc:
+            if exc.reads:
+                exc.reads -= 1
+                raise
+            v = _read_deep(self, i, exc.read)
+        except RecursionError:
+            raise _Deeper(self, i) from None
+        return memo.setdefault(i, v)
 
     def coefficients(self, lo: int, hi: int) -> list:
         return [self[i] for i in range(lo, hi + 1)]
 
     # -- arithmetic ----------------------------------------------------------
 
+    def _termwise(self, other, op):
+        """The stream i -> op(self[i], other[i]), for sums and differences."""
+        fs = None
+        if self.finite_support is not None and other.finite_support is not None:
+            fs = max(self.finite_support, other.finite_support)
+        return RzlNumber(min(self.low, other.low), lambda i: op(self[i], other[i]), fs)
+
     def __add__(self, other):
         other = as_number(other)
-        return other if other is NotImplemented else termwise(self, ((True, other),))
+        return other if other is NotImplemented else self._termwise(other, operator.add)
 
     __radd__ = __add__
 
@@ -80,11 +96,11 @@ class RzlNumber:
 
     def __sub__(self, other):
         other = as_number(other)
-        return other if other is NotImplemented else termwise(self, ((False, other),))
+        return other if other is NotImplemented else self._termwise(other, operator.sub)
 
     def __rsub__(self, other):
         other = as_number(other)
-        return other if other is NotImplemented else termwise(other, ((False, self),))
+        return other if other is NotImplemented else other._termwise(self, operator.sub)
 
     def __mul__(self, other):
         other = as_number(other)
@@ -149,28 +165,52 @@ def as_number(x):
     return NotImplemented
 
 
-def termwise(first: RzlNumber, rest) -> RzlNumber:
-    """first + s1 - s2 ... as one stream, for `rest` the (is_add, s) pairs.
-    Coefficient i is folded from the left, so it has the value, type and
-    DAG of a chain of binary sums, but a read is one memo and one frame."""
-    low, fs = first.low, first.finite_support
-    for _, s in rest:
-        low = min(low, s.low)
-        fs = None if fs is None or s.finite_support is None else max(fs, s.finite_support)
+_GETITEM = RzlNumber.__getitem__.__code__
 
-    def coeff(i):
-        acc = first[i]
-        for is_add, s in rest:
-            acc = acc + s[i] if is_add else acc - s[i]
-        return acc
 
-    return RzlNumber(low, coeff, fs)
+class _Deeper(RecursionError):
+    """Raised by a read x[i] that hit the recursion limit, on its way up to
+    the first read half the limit or more above it: `read` is (x, i) and
+    `reads` counts the reads it passes on the way, each giving up its work.
+    With no read that far up it passes them all."""
+
+    def __init__(self, x: RzlNumber, i: int):
+        super().__init__("maximum recursion depth exceeded")
+        self.read, self.reads, frame = (x, i), 0, sys._getframe(1)
+        for _ in range(sys.getrecursionlimit() // 2):
+            frame = frame.f_back
+            if frame is None:
+                break
+            self.reads += frame.f_code is _GETITEM
+
+
+def _read_deep(x: RzlNumber, i: int, read):
+    """x's coefficient at i, once a `_Deeper` from the unfinished `read`
+    reached it: the pending reads are finished deepest first, from an
+    explicit stack, each with half the limit free below it, and then x's
+    function is called again.  A pending read met again, as in a stream
+    that reads itself, is passed up through every read."""
+    pending = [(x, i), read]
+    while True:
+        s, j = pending[-1]
+        try:
+            if len(pending) == 1:
+                return x._fn(i)
+            s[j]
+            pending.pop()
+        except _Deeper as deeper:
+            if deeper.read in pending:   # no read can finish it
+                deeper.reads = sys.maxsize
+            if deeper.reads:
+                raise
+            pending.append(deeper.read)
 
 
 # -- constructors -------------------------------------------------------------
 
 def make_number(low: int, coeff, finite_support: int | None = None) -> RzlNumber:
-    """Wrap a total coefficient function, zero below `low`, into a number."""
+    """Wrap a total coefficient function, zero below `low`, into a number.
+    It must be pure: a read past the recursion limit may call it again."""
     return RzlNumber(low, coeff, finite_support)
 
 

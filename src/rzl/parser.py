@@ -34,14 +34,12 @@ from . import expr as E
 from .calculus import evaluate
 from .number import PartSelector, RzlNumber, from_coefficients, from_rational
 
-_GROSSONE = "①"
-
 # Deepest nesting of parentheses, function calls and unary minus signs
 # accepted; deeper input is refused before it can exhaust the stack.
 _MAX_NESTING = 100
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|"
-                    rf"([+\-*/^()])|({_GROSSONE}))")
+                    rf"([+\-*/^()])|({E._GROSSONE}))")
 
 _FUNCTIONS = {
     "sin": E.Sin,

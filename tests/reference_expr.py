@@ -3,8 +3,9 @@ on one walk with handler tables: each is a recursive function, one call
 per tree level, and a chain of + or * is evaluated one binary operation at
 a time.  The differential tests in test_walk.py compare against it.
 
-The polynomial helpers and the part texts, which are not passes, come
-from `rzl.expr`.
+The part texts, which are not a pass, come from `rzl.expr`; the dense
+polynomial helpers, a list of coefficients in ascending order, are copied
+here as they stood.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from fractions import Fraction
 
 from rzl import expr as E
 from rzl.calculus import branch_taken, transcendental
-from rzl.expr import _GROSSONE, _PART_TEXT, _poly_add, _poly_mul, _poly_trim
+from rzl.expr import _GROSSONE, _PART_TEXT
 from rzl.number import (
     DEFAULT_DEPTH,
     RzlNumber,
@@ -76,6 +77,28 @@ def classical_derivative(f, sign_convention=False):
             raise DomainError("sign is not in the differentiable fragment")
         raise DomainError(f"{type(t).__name__} is not in the differentiable fragment")
     return d(f)
+
+
+def _poly_add(a, b):
+    n = max(len(a), len(b))
+    return [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
+            for i in range(n)]
+
+
+def _poly_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai == 0:
+            continue
+        for j, bj in enumerate(b):
+            out[i + j] += ai * bj
+    return out
+
+
+def _poly_trim(a):
+    while len(a) > 1 and a[-1] == 0:
+        a = a[:-1]
+    return [Fraction(c) for c in a]
 
 
 def as_polynomial(f, name="x"):

@@ -172,8 +172,8 @@ def test_deep_nesting_exit(capsys):
 
 
 def test_deep_sum_exit(capsys):
-    # a long sum is one stream; the classical derivative of a long product
-    # still nests one stream per factor
+    # a coefficient read of a long sum, or of a long product's classical
+    # derivative, goes one stream deeper per term, past the recursion limit
     deep_sum = "+".join(["eps"] * 1500)
     code, out, _ = run(capsys, "eval", deep_sum)
     assert code == 0 and out.strip() == "^0, 1500, 0, 0, 0, 0, 0, ..."
@@ -181,11 +181,15 @@ def test_deep_sum_exit(capsys):
     assert code == 0
     assert json.loads(out)["result"]["coefficients"][1] == {"index": 1, "value": "1500"}
     deep_product = "*".join(["x"] * 1500)
-    code, _, err = run(capsys, "der", deep_product)
-    assert code == 1 and err.strip() == "error: input too deeply nested"
-    code, out, _ = run(capsys, "der", deep_product, "--format", "json")
-    assert code == 1
-    assert json.loads(out) == {"command": "der", "error": "input too deeply nested"}
+    code, out, _ = run(capsys, "der", deep_product)
+    assert code == 0 and "permeated = 0" in out.splitlines()
+    code, out, _ = run(capsys, "der", deep_product, "--at", "1")
+    assert code == 0
+    assert {"standard part = 1500", "permeated = 1500"} <= set(out.splitlines())
+    code, out, _ = run(capsys, "der", deep_product, "--at", "1", "--format", "json")
+    assert code == 0
+    report = json.loads(out)["report"]
+    assert report["standard_part"] == "1500" and report["permeated"] == "1500"
 
 
 def test_deep_sum_verbs_exit_0(capsys):

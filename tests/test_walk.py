@@ -2,7 +2,10 @@
 recursive form on random trees, and every pass on chains far deeper than
 the recursion limit."""
 
+import functools
+import operator
 import sys
+import threading
 from fractions import Fraction as F
 
 import pytest
@@ -91,19 +94,6 @@ def _coefficients(evaluator, tree, x, var):
     return [value[i] for i in range(-1, 5)]
 
 
-def _longest_product(tree):
-    """The most factors in one left spine of * in the tree."""
-    longest, stack = 1, [tree]
-    while stack:
-        t, n = stack.pop(), 1
-        while isinstance(t, E.Mul):
-            stack.append(t.right)
-            t, n = t.left, n + 1
-        longest = max(longest, n)
-        stack.extend(t.children())
-    return longest
-
-
 @SETTINGS
 @given(cases)
 def test_walk_passes_match_the_recursive_passes(case):
@@ -129,15 +119,11 @@ def test_walk_passes_match_the_recursive_passes(case):
     if got[0] == "error":
         assert got == want
         return
-    balanced = _longest_product(tree) >= 4
     for a, b in zip(got[1], want[1]):
         if is_rational_scalar(b):
             assert type(a) is type(b) and a == b
-        elif not balanced:
-            assert _same_dag(a, b)
         else:
-            (lo_a, hi_a), (lo_b, hi_b) = a.bracket(10 ** 9), b.bracket(10 ** 9)
-            assert lo_a <= hi_b and lo_b <= hi_a
+            assert _same_dag(a, b)
 
 
 def test_walk_reads_only_what_a_handler_asks_for():
@@ -190,8 +176,7 @@ def test_a_derivative_dag_evaluates_each_node_once(monkeypatch, recursion_limit_
                         lambda self, *args, **kw: built.append(1) or init(self, *args, **kw))
     evaluate(E.classical_derivative(parse(op.join(["x"] * 1500))), from_rational(2))
     assert len(built) < 10 * 1500
-    # a long prefix shared with another parent is still one stream or one
-    # balanced product
+    # a long prefix shared with another parent is evaluated once
     chain = parse({"*": "*", "/": "+"}[op].join(["x"] * 1500))
     assert evaluate(E.Add(chain, chain.left), one() + epsilon())[1] == 1500 + 1499
     # a shorter one reads its value, the same as the recursive evaluation's
@@ -206,18 +191,37 @@ def test_a_derivative_dag_evaluates_each_node_once(monkeypatch, recursion_limit_
                 assert lo_a <= hi_b and lo_b <= hi_a
 
 
-def test_a_long_sum_is_one_termwise_stream(monkeypatch, recursion_limit_1000):
-    entries = []
+def test_a_cold_read_of_a_long_chain_needs_no_recursion(recursion_limit_1000):
+    # (1 + eps) chained 10^4 times: n(1 + eps), (2 - n)(1 + eps) and
+    # (1 + eps)^n, read from the highest coefficient down
+    n = 10 ** 4
+    want = {operator.add: [n, n, 0], operator.sub: [2 - n, 2 - n, 0],
+            operator.mul: [1, n, n * (n - 1) // 2]}
+    for op, coefficients in want.items():
+        chain = functools.reduce(op, [one() + epsilon() for _ in range(n)])
+        assert [chain[i] for i in (2, 1, 0)] == coefficients[::-1]
+    # threads reading one chain at once agree, and each coefficient is the
+    # first one written
+    chain = functools.reduce(operator.add, [from_rational(F(1, 3)) + epsilon()] * 5000)
+    reads = []
+    threads = [threading.Thread(target=lambda: reads.append([chain[i] for i in range(3)]))
+               for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert reads == [[F(5000, 3), 5000, 0]] * 4
+    assert all(read[0] is chain[0] for read in reads)
 
-    def counted_termwise(first, rest):
-        stream = termwise(first, rest)
-        coeff = stream._fn
-        stream._fn = lambda i: entries.append(i) or coeff(i)
-        return stream
 
-    termwise = number.termwise
-    monkeypatch.setattr(number, "termwise", counted_termwise)
-    monkeypatch.setattr(calculus, "termwise", counted_termwise)
-    value = evaluate(parse("+".join(["eps"] * 1500)), zero())
-    assert value[1] == 1500
-    assert entries == [1]
+def test_a_product_of_four_factors_is_read_as_written():
+    tree, x = parse("sin(x)*cos(x)*exp(x)*sin(x)"), from_rational(F(1, 3)) + epsilon()
+    got, want = evaluate(tree, x), ref.evaluate(tree, x)
+    for i in range(3):
+        assert _same_dag(got[i], want[i])
