@@ -35,7 +35,7 @@ from .number import (
     part,
     recurrence,
 )
-from .order import abs_val
+from .order import DeltaSpec, abs_val, in_delta
 from .scalar import (
     PRECISION_BUDGET,
     creal_elementary,
@@ -346,22 +346,6 @@ class DerivativeReport:
     reason: str | None = None
 
 
-def _nonstandard_certified_zero(x: RzlNumber, budget: int):
-    """True / False / None for 'all coefficients off index 0 are zero'."""
-    sure = x.finite_support is not None
-    hi = x.finite_support if sure else DEFAULT_DEPTH
-    pending = not sure
-    for i in range(x.low, hi + 1):
-        if i == 0:
-            continue
-        s = scalar_sign(x[i], budget)
-        if s is None:
-            pending = True
-        elif s != 0:
-            return False
-    return None if pending else True
-
-
 def permeate(f: E.Expr, x: RzlNumber, depth: int = DEFAULT_DEPTH,
              budget: int = PRECISION_BUDGET) -> DerivativeReport:
     """Full derivative report; the permeated field is populated only when
@@ -371,12 +355,12 @@ def permeate(f: E.Expr, x: RzlNumber, depth: int = DEFAULT_DEPTH,
     d = der(f, x, depth, budget)
     st = d[0]
     verdict, classical = _compare_derivatives(f, x, depth, budget, quotient=d)
-    nst_zero = _nonstandard_certified_zero(x, budget)
-    if verdict.is_certified and nst_zero is True:
+    nst_zero = in_delta(x, DeltaSpec(0), depth, budget)   # Nst(x) = 0
+    if verdict.is_certified and nst_zero.is_certified:
         return DerivativeReport(d, st, classical, verdict, permeated=st)
     if not verdict.is_certified:
         reason = "membership in the derivative comparison set not certified"
-    elif nst_zero is False:
+    elif nst_zero.is_refuted:
         reason = "Nst(x) != 0"
     else:
         reason = "Nst(x) not certified zero"

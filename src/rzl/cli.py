@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from . import expr as E
 from .calculus import evaluate, permeate
-from .continuity import ContinuityQuery, GridBudget, check_kn_continuity
+from .continuity import ContinuityQuery, check_kn_continuity
 from .convergence import (
     RzlSequence,
     cc_check,
@@ -46,8 +46,9 @@ _DASH_HINT = "an expression that starts with '-' goes after '--': rzl eval -- \"
 
 
 def _message(exc: Exception) -> str:
-    # a read deeper than the recursion limit is finished by a read half the
-    # limit above it; one that makes no progress so still raises this
+    # a read deeper than the recursion limit is finished by the outermost
+    # read; one that makes no progress so, as a stream that reads itself,
+    # still raises this
     return "input too deeply nested" if isinstance(exc, RecursionError) else str(exc)
 
 
@@ -174,8 +175,7 @@ def _run_der(args):
 def _run_continuity(args):
     f = _function_from(args.expression)
     point = _point_from(args.at, args.depth)
-    v = check_kn_continuity(ContinuityQuery(f, point, args.k, args.n,
-                                            GridBudget()), args.depth)
+    v = check_kn_continuity(ContinuityQuery(f, point, args.k, args.n), args.depth)
     report = {"command": args.command, "echo": E.to_text(f, grossone=args.grossone),
               "k": args.k, "n": args.n,
               "verdict": _verdict_json(v), "error": None}

@@ -17,7 +17,7 @@ Anything else is answered Unknown, with budgets recorded.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import expr as E
@@ -35,15 +35,11 @@ from .scalar import PRECISION_BUDGET, is_rational_scalar
 from .verdict import UndecidedError, Verdict, certified, refuted, unknown
 
 _HALF = Fraction(1, 2)
-
-
-@dataclass(frozen=True)
-class GridBudget:
-    """Structured witness grid: rational coefficients, a ceiling on the
-    infinitesimal order of displacements, and a candidate cap."""
-    coefficients: tuple = (Fraction(1), _HALF, Fraction(1, 4), Fraction(1, 8))
-    max_index: int = 4
-    count: int = 64
+# the structured witness grid: rational coefficients, a ceiling on the
+# infinitesimal order of displacements, and a cap on candidates per radius
+_GRID_COEFFICIENTS = (Fraction(1), _HALF, Fraction(1, 4), Fraction(1, 8))
+_GRID_MAX_INDEX = 4
+_GRID_COUNT = 64
 
 
 @dataclass(frozen=True)
@@ -52,7 +48,6 @@ class ContinuityQuery:
     point: RzlNumber
     k: int = 0
     n: int = 0
-    witness_budget: GridBudget = field(default_factory=GridBudget)
 
     def __post_init__(self):
         if self.k < 0 or self.n < 0:
@@ -131,19 +126,19 @@ def _stream_tolerances(coefficients, orders):
     return [(f"{a}*eps^{j}", monomial(a, j)) for j in orders for a in coefficients]
 
 
-def _stream_radii(budget: GridBudget, orders, depth: int, precision: int):
+def _stream_radii(orders, depth: int, precision: int):
     """(label, candidates) for the radii a*eps^j on the grid; `candidates()`
-    lists the first `budget.count` grid displacements ±(q/2)*eps^i, i from
+    lists the first `_GRID_COUNT` grid displacements ±(q/2)*eps^i, i from
     the lowest order up, certified strictly inside the radius."""
     grid = [(monomial(q * _HALF, i), monomial(-q * _HALF, i))
-            for i in range(min(orders), budget.max_index + 1) for q in budget.coefficients]
+            for i in range(min(orders), _GRID_MAX_INDEX + 1) for q in _GRID_COEFFICIENTS]
 
     def candidates(radius):
         return [d for pair in grid
                 if lex_less(pair[0], radius, depth, precision).is_certified
-                for d in pair][:budget.count]
+                for d in pair][:_GRID_COUNT]
     return [(f"{a}*eps^{j}", lambda r=monomial(a, j): candidates(r))
-            for j in orders for a in budget.coefficients]
+            for j in orders for a in _GRID_COEFFICIENTS]
 
 
 def _refute(f: E.Expr, c: RzlNumber, tolerances, radii, tolerance_key: str,
@@ -190,7 +185,7 @@ def check_kn_continuity(q: ContinuityQuery, depth: int = DEFAULT_DEPTH,
     """Graded continuity at a point: every tolerance of infinitesimal order
     k admits a neighbourhood radius of order n."""
     c = as_number(q.point)
-    k, n, budget = q.k, q.n, q.witness_budget
+    k, n = q.k, q.n
     rules = {"const": lambda: ({"rule": "constant"},
                                "constant functions meet every grade")}
     if k <= n:
@@ -205,29 +200,25 @@ def check_kn_continuity(q: ContinuityQuery, depth: int = DEFAULT_DEPTH,
     cert = _certify(q.f, c, rules, depth, precision)
     if cert is not None:
         return cert
-    return _refute(q.f, c, _stream_tolerances(budget.coefficients[:2], (k,)),
-                   _stream_radii(budget, (n,), depth, precision), "eps1",
+    return _refute(q.f, c, _stream_tolerances(_GRID_COEFFICIENTS[:2], (k,)),
+                   _stream_radii((n,), depth, precision), "eps1",
                    "radius family budgeted by the witness grid", depth, precision)
 
 
 def check_kn_grid(f: E.Expr, point: RzlNumber, kmax: int, nmax: int,
-                  budget: GridBudget | None = None,
                   depth: int = DEFAULT_DEPTH,
                   precision: int = PRECISION_BUDGET) -> dict:
     """All verdicts on the (k,n) lattice up to the given bounds."""
-    budget = budget or GridBudget()
     return {(k, n): check_kn_continuity(
-        ContinuityQuery(f, point, k, n, budget), depth, precision)
+        ContinuityQuery(f, point, k, n), depth, precision)
         for k in range(kmax + 1) for n in range(nmax + 1)}
 
 
 # -- classical rational-radius definition ---------------------------------------------
 
 def check_ed_class(f: E.Expr, point: RzlNumber, depth: int = DEFAULT_DEPTH,
-                   budget: GridBudget | None = None,
                    precision: int = PRECISION_BUDGET) -> Verdict:
     """Continuity with tolerance 1/n and neighbourhood 1/m, both rational."""
-    budget = budget or GridBudget()
     c = as_number(point)
 
     def modulus(lip):
@@ -245,17 +236,15 @@ def check_ed_class(f: E.Expr, point: RzlNumber, depth: int = DEFAULT_DEPTH,
 
     def grid(m):
         return [points.setdefault(v, from_rational(v)) for v in
-                (sgn * q * _HALF / m for q in budget.coefficients for sgn in (1, -1))]
+                (sgn * q * _HALF / m for q in _GRID_COEFFICIENTS for sgn in (1, -1))]
     radii = [(f"1/{m}", lambda m=m: grid(m)) for m in (1, 2, 4, 8, 16, 32)]
     return _refute(f, c, tolerances, radii, "tolerance",
                    "neighbourhood family budgeted", depth, precision)
 
 
 def check_ed(f: E.Expr, point: RzlNumber, depth: int = DEFAULT_DEPTH,
-             budget: GridBudget | None = None,
              precision: int = PRECISION_BUDGET) -> Verdict:
     """Continuity with both radii arbitrary positive streams."""
-    budget = budget or GridBudget()
     c = as_number(point)
     rules = {
         "const": lambda: ({"rule": "constant"}, None),
@@ -271,6 +260,6 @@ def check_ed(f: E.Expr, point: RzlNumber, depth: int = DEFAULT_DEPTH,
     if cert is not None:
         return cert
     # refutation: some stream tolerance violated inside every budgeted radius
-    return _refute(f, c, _stream_tolerances(budget.coefficients[:2], range(3)),
-                   _stream_radii(budget, range(budget.max_index + 1), depth, precision),
+    return _refute(f, c, _stream_tolerances(_GRID_COEFFICIENTS[:2], range(3)),
+                   _stream_radii(range(_GRID_MAX_INDEX + 1), depth, precision),
                    "tolerance", "radius family budgeted", depth, precision)

@@ -73,9 +73,6 @@ class RzlNumber:
             raise _Deeper(self, i) from None
         return memo.setdefault(i, v)
 
-    def coefficients(self, lo: int, hi: int) -> list:
-        return [self[i] for i in range(lo, hi + 1)]
-
     # -- arithmetic ----------------------------------------------------------
 
     def _termwise(self, other, op):
@@ -170,26 +167,26 @@ _GETITEM = RzlNumber.__getitem__.__code__
 
 class _Deeper(RecursionError):
     """Raised by a read x[i] that hit the recursion limit, on its way up to
-    the first read half the limit or more above it: `read` is (x, i) and
-    `reads` counts the reads it passes on the way, each giving up its work.
-    With no read that far up it passes them all."""
+    the nearest `_read_deep`, or else to the outermost read: `read` is
+    (x, i) and `reads` counts the reads it passes on the way, each giving
+    up its work."""
 
     def __init__(self, x: RzlNumber, i: int):
         super().__init__("maximum recursion depth exceeded")
         self.read, self.reads, frame = (x, i), 0, sys._getframe(1)
-        for _ in range(sys.getrecursionlimit() // 2):
+        while frame.f_back is not None and frame.f_back.f_code is not _read_deep.__code__:
             frame = frame.f_back
-            if frame is None:
-                break
             self.reads += frame.f_code is _GETITEM
+        if frame.f_back is None:
+            self.reads -= 1   # the outermost read takes it
 
 
 def _read_deep(x: RzlNumber, i: int, read):
     """x's coefficient at i, once a `_Deeper` from the unfinished `read`
     reached it: the pending reads are finished deepest first, from an
-    explicit stack, each with half the limit free below it, and then x's
-    function is called again.  A pending read met again, as in a stream
-    that reads itself, is passed up through every read."""
+    explicit stack, and then x's function is called again.  Every later
+    `_Deeper` below comes back here.  A pending read met again, as in a
+    stream that reads itself, is passed up through every read."""
     pending = [(x, i), read]
     while True:
         s, j = pending[-1]
@@ -374,6 +371,11 @@ def _exact_zeros(x: RzlNumber, hi: int | None = None) -> bool:
     return all(scalar_is_zero(x[i]) for i in range(x.low, hi + 1))
 
 
+def _masked(x: RzlNumber, m: int) -> RzlNumber:
+    """x with its coefficient at m read as an exact 0."""
+    return RzlNumber(x.low, lambda i: 0 if i == m else x[i], x.finite_support)
+
+
 def leading_index(x: RzlNumber, depth: int = DEFAULT_DEPTH,
                   budget: int = PRECISION_BUDGET) -> Verdict:
     """First index whose coefficient is provably nonzero.
@@ -456,15 +458,11 @@ def fractal_lift(value) -> RzlNumber:
     the omega part of w times the lift reproduces the lift exactly.
     """
     if isinstance(value, RzlNumber):
-        x = value
-        hi = x.finite_support if x.finite_support is not None else DEFAULT_DEPTH
-        for i in range(x.low, hi + 1):
-            if i != 0 and not scalar_is_zero(x[i]):
-                raise ValueError("fractal lift needs a pure standard value")
-        v = x[0]
-    else:
-        v = value
-    return RzlNumber(0, lambda i: v if i >= 0 else 0)
+        # pure means exact zeros off index 0 over the whole support
+        if not _exact_zeros(_masked(value, 0)):
+            raise ValueError("fractal lift needs a pure standard value")
+        value = value[0]
+    return RzlNumber(0, lambda i: value if i >= 0 else 0)
 
 
 # -- exact comparison on the certified-finite fragment ---------------------------

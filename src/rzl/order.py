@@ -17,6 +17,7 @@ from .number import (
     DEFAULT_DEPTH,
     RzlNumber,
     _exact_zeros,
+    _masked,
     as_number,
     from_rational,
     leading_index,
@@ -131,28 +132,25 @@ def in_delta(x: RzlNumber, d: DeltaSpec, depth: int = DEFAULT_DEPTH,
                 else refuted(depth, reason="exact zero")
         return unknown(depth, reason=li.reason)
 
-    # pure-monomial reading
+    # pure-monomial reading: the first coefficient off index m that is not
+    # certified zero settles it; past an undecided one nothing is read
+    off = leading_index(_masked(x, d.m), depth, budget)
+    if off.is_certified:
+        return refuted(depth, witness=off.witness,
+                       reason=f"nonzero coefficient off index {d.m}")
     hi = x.low + depth
     if x.finite_support is not None:
         hi = min(hi, x.finite_support)
-    entire = x.finite_support is not None and x.finite_support <= hi
-    undecided = None
-    for i in range(x.low, hi + 1):
-        if i == d.m:
-            continue
-        s = scalar_sign(x[i], budget)
-        if s is None:
-            undecided = i
-        elif s != 0:
-            return refuted(depth, witness=i,
-                           reason=f"nonzero coefficient off index {d.m}")
+    # every coefficient decided: none undecided, and the support ends inside
+    # the window (finite_support <= low + depth, so hi is finite_support)
+    entire = off.witness is None and x.finite_support == hi
     if d.m >= 1:
         s_m = scalar_sign(x[d.m], budget)
-        if s_m == 0 and entire and undecided is None:
+        if s_m == 0 and entire:
             return refuted(depth, reason="exact zero is not of positive order")
-        if s_m is None or s_m == 0:
+        if not s_m:
             return unknown(depth, reason="coefficient at m not certified nonzero")
-    if entire and undecided is None:
+    if entire:
         return certified(depth, witness=d.m)
     return unknown(depth, reason="tail beyond inspected window",
                    caveat=f"window {x.low}..{hi}")

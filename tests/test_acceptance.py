@@ -13,7 +13,7 @@ from fractions import Fraction as F
 
 from rzl import expr as E
 from rzl.calculus import permeate, transcendental
-from rzl.continuity import ContinuityQuery, GridBudget, check_kn_continuity, check_kn_grid
+from rzl.continuity import ContinuityQuery, check_kn_continuity, check_kn_grid
 from rzl.convergence import RzlSequence, cc_check, cc_from_hc, hc_check, hyper_cauchy_check, rc_check
 from rzl.number import (
     RzlNumber,
@@ -212,15 +212,12 @@ def test_criterion_6_order_topology():
 
 def test_criterion_7_continuity():
     def body():
-        v = check_kn_continuity(ContinuityQuery(X, zero(), 1, 0, GridBudget()))
+        v = check_kn_continuity(ContinuityQuery(X, zero(), 1, 0))
         assert v.is_refuted and "eps^1" in v.witness["eps1"]
-        assert check_kn_continuity(ContinuityQuery(X, zero(), 0, 0,
-                                                   GridBudget())).is_certified
+        assert check_kn_continuity(ContinuityQuery(X, zero(), 0, 0)).is_certified
         step = E.PiecewiseSt("<=", 1, X, X + 1)
-        assert check_kn_continuity(ContinuityQuery(step, one(), 0, 0,
-                                                   GridBudget())).is_refuted
-        assert check_kn_continuity(ContinuityQuery(step, one(), 0, 1,
-                                                   GridBudget())).is_certified
+        assert check_kn_continuity(ContinuityQuery(step, one(), 0, 0)).is_refuted
+        assert check_kn_continuity(ContinuityQuery(step, one(), 0, 1)).is_certified
         const_grid = check_kn_grid(E.Const(F(5, 2)), from_rational(1), 4, 4)
         assert all(v.is_certified for v in const_grid.values())
         for f, point in ((X, zero()), (step, one()), (2 * X - 1, from_rational(2))):

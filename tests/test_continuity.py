@@ -7,7 +7,6 @@ import pytest
 from rzl import expr as E
 from rzl.continuity import (
     ContinuityQuery,
-    GridBudget,
     check_ed,
     check_ed_class,
     check_kn_continuity,
@@ -22,7 +21,7 @@ DELTA_INDICATOR = E.PiecewiseSt("=", 0, E.Const(1), E.Const(0))
 
 
 def kn(f, point, k, n, **kw):
-    return check_kn_continuity(ContinuityQuery(f, point, k, n, GridBudget()), **kw)
+    return check_kn_continuity(ContinuityQuery(f, point, k, n), **kw)
 
 
 def test_identity_grades():

@@ -240,6 +240,9 @@ def test_fractal_lift():
     assert all(pushed[k] == Fv[k - 1] for k in range(0, 11))
     with pytest.raises(ValueError):
         fractal_lift(epsilon())
+    # with no support bound, no window of zeros makes a stream pure
+    with pytest.raises(ValueError):
+        fractal_lift(make_number(0, lambda i: 3 if i == 0 else (1 if i == 20 else 0)))
 
 
 def test_field_axioms_randomized():

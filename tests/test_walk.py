@@ -179,7 +179,7 @@ def test_a_derivative_dag_evaluates_each_node_once(monkeypatch, recursion_limit_
     # a long prefix shared with another parent is evaluated once
     chain = parse({"*": "*", "/": "+"}[op].join(["x"] * 1500))
     assert evaluate(E.Add(chain, chain.left), one() + epsilon())[1] == 1500 + 1499
-    # a shorter one reads its value, the same as the recursive evaluation's
+    # a shorter one builds the recursive evaluation's DAG node for node
     for tree in (parse(op.join(["x"] * 40)), parse(f"sin(x){op}x{op}x{op}cos(x){op}x")):
         derivative, x = E.classical_derivative(tree), from_rational(F(1, 3)) + epsilon()
         for a, b in zip(_coefficients(evaluate, derivative, x, "x"),
@@ -187,8 +187,7 @@ def test_a_derivative_dag_evaluates_each_node_once(monkeypatch, recursion_limit_
             if is_rational_scalar(b):
                 assert type(a) is type(b) and a == b
             else:
-                (lo_a, hi_a), (lo_b, hi_b) = a.bracket(10 ** 9), b.bracket(10 ** 9)
-                assert lo_a <= hi_b and lo_b <= hi_a
+                assert _same_dag(a, b)
 
 
 def test_a_cold_read_of_a_long_chain_needs_no_recursion(recursion_limit_1000):
@@ -218,6 +217,16 @@ def test_a_cold_read_of_a_long_chain_needs_no_recursion(recursion_limit_1000):
     assert not any(thread.is_alive() for thread in threads)
     assert reads == [[F(5000, 3), 5000, 0]] * 4
     assert all(read[0] is chain[0] for read in reads)
+
+
+def test_a_deep_read_starts_at_any_stack_depth(recursion_limit_1000):
+    # a read made 700 frames down, under limit 1000, hands its pending reads
+    # to the outermost read, which has the whole stack below it
+    chain = functools.reduce(operator.add, [epsilon()] * 3000)
+
+    def read_at(depth):
+        return chain[1] if depth == 0 else read_at(depth - 1)
+    assert read_at(700) == 3000
 
 
 def test_a_product_of_four_factors_is_read_as_written():
