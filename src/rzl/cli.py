@@ -298,6 +298,8 @@ def main(argv=None) -> int:
     if args.command is None:
         return _repl()
     try:
+        if args.depth < 1:
+            raise ValueError("depth must be a positive integer")
         report, lines, code = args.run(args)
     except _ERRORS as exc:
         if args.format == "json":

@@ -420,10 +420,8 @@ def inverse(x: RzlNumber, depth: int = DEFAULT_DEPTH,
         raise UndecidedError("inverse requires certified leading term", li)
     m = li.witness
     a = x[m]
-    lo, hi = li.value
-    # the certified bracket bounds |a| from below for a computable real
-    inv_a = 1 / Fraction(a) if is_rational_scalar(a) \
-        else a.reciprocal(min(abs(lo), abs(hi)))
+    # a's balls are memoized: the reciprocal rereads those that certified it
+    inv_a = 1 / Fraction(a) if is_rational_scalar(a) else a.reciprocal(budget)
 
     # coefficient of eps**j in (1+u), for j >= 1
     rel = functools.cache(lambda j: x[m + j] * inv_a)

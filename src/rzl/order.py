@@ -183,22 +183,20 @@ class BallSpec:
     n: int | None = None
     radius: RzlNumber | None = None
 
+    def __post_init__(self):
+        if self.n is not None and self.n < 1:
+            raise ValueError("n must be a positive integer")
+
 
 def st_ball(center: RzlNumber, n: int) -> BallSpec:
-    if n < 1:
-        raise ValueError("n must be a positive integer")
     return BallSpec(as_number(center), BallKind.ST, n=n)
 
 
 def rat_ball(center: RzlNumber, n: int) -> BallSpec:
-    if n < 1:
-        raise ValueError("n must be a positive integer")
     return BallSpec(as_number(center), BallKind.RAT, n=n)
 
 
 def psi_ball(center: RzlNumber, n: int) -> BallSpec:
-    if n < 1:
-        raise ValueError("n must be a positive integer")
     return BallSpec(as_number(center), BallKind.PSI, n=n)
 
 
@@ -223,14 +221,6 @@ def within_radius(d: RzlNumber, r: RzlNumber, depth: int, budget: int) -> Verdic
 def ball_contains(b: BallSpec, z: RzlNumber, depth: int = DEFAULT_DEPTH,
                   budget: int = PRECISION_BUDGET) -> Verdict:
     z = as_number(z)
-    d = z - b.center
-    if b.kind in (BallKind.ST, BallKind.RAT):
-        return within_radius(d, from_rational(Fraction(1, b.n)), depth, budget)
-    if b.kind is BallKind.E:
-        li = leading_index(as_number(b.radius), depth, budget)
-        if not (li.is_certified and li.witness >= 1 and li.value[0] > 0):
-            raise ValueError("e-ball radius must be a certified positive infinitesimal")
-        return within_radius(d, b.radius, depth, budget)
     if b.kind is BallKind.PSI:
         gap = z[0] - b.center[0]
         inside = scalar_abs_within(gap, Fraction(1, b.n), budget)
@@ -239,7 +229,16 @@ def ball_contains(b: BallSpec, z: RzlNumber, depth: int = DEFAULT_DEPTH,
         if inside is False:
             return refuted(depth, witness=("st-gap", gap))
         return unknown(depth, reason="standard-part gap undecided")
-    raise ValueError(f"unknown ball kind {b.kind!r}")
+    if b.kind is BallKind.E:
+        li = leading_index(as_number(b.radius), depth, budget)
+        if not (li.is_certified and li.witness >= 1 and li.value[0] > 0):
+            raise ValueError("e-ball radius must be a certified positive infinitesimal")
+        radius = b.radius
+    elif b.kind in (BallKind.ST, BallKind.RAT):
+        radius = from_rational(Fraction(1, b.n))
+    else:
+        raise ValueError(f"unknown ball kind {b.kind!r}")
+    return within_radius(z - b.center, radius, depth, budget)
 
 
 # -- separation -------------------------------------------------------------------
@@ -253,31 +252,26 @@ def distinguishable(x: RzlNumber, y: RzlNumber, kind: str,
     rational radius below half the gap is returned as witness.  kind 'e':
     any certified difference separates, with radius one order below it.
     """
-    x, y = as_number(x), as_number(y)
-    d = y - x
+    d = as_number(y) - as_number(x)
     li = leading_index(d, depth, budget)
-    if kind == "st":
-        if li.is_certified:
-            m = li.witness
-            if m >= 1:
-                return refuted(depth, witness=m,
-                               reason="difference is infinitesimal; every "
-                                      "rational-radius ball around one point "
-                                      "contains the other")
-            # the smallest n with 1/n below half the certified |gap|
-            lo, hi = li.value
-            n = 1 if m < 0 else 2 // min(abs(lo), abs(hi)) + 1
-            return certified(depth, witness=("st-ball-n", n))
+    if kind not in ("st", "e"):
+        raise ValueError("kind must be 'st' or 'e'")
+    if not li.is_certified:
         if _exact_zeros(d):
             return refuted(depth, reason="points are equal")
         return unknown(depth, reason=li.reason)
+    m = li.witness
     if kind == "e":
-        if li.is_certified:
-            return certified(depth, witness=("eps-radius-order", li.witness + 1))
-        if _exact_zeros(d):
-            return refuted(depth, reason="points are equal")
-        return unknown(depth, reason=li.reason)
-    raise ValueError("kind must be 'st' or 'e'")
+        return certified(depth, witness=("eps-radius-order", m + 1))
+    if m >= 1:
+        return refuted(depth, witness=m,
+                       reason="difference is infinitesimal; every "
+                              "rational-radius ball around one point "
+                              "contains the other")
+    # the smallest n with 1/n below half the certified |gap|
+    lo, hi = li.value
+    n = 1 if m < 0 else 2 // min(abs(lo), abs(hi)) + 1
+    return certified(depth, witness=("st-ball-n", n))
 
 
 def point_interior_witness(interval: tuple[RzlNumber, RzlNumber], z: RzlNumber,
@@ -294,26 +288,19 @@ def point_interior_witness(interval: tuple[RzlNumber, RzlNumber], z: RzlNumber,
     if not lex_less(a, z, depth, budget).is_certified \
             or not lex_less(z, b, depth, budget).is_certified:
         raise UndecidedError("z must be certified interior to (a, b)")
-    left = z - a
-    right = b - z
+    if kind not in ("st", "e"):
+        raise ValueError("kind must be 'st' or 'e'")
+    left, right = z - a, b - z
+    for k in range(1, depth + 1):
+        r = from_rational(Fraction(1, k)) if kind == "st" else monomial(1, k)
+        if lex_less(r, left, depth, budget).is_certified and \
+                lex_less(r, right, depth, budget).is_certified:
+            return certified(depth, witness=("1/n" if kind == "st" else "eps^m", k))
     if kind == "st":
-        for n in range(1, depth + 1):
-            r = from_rational(Fraction(1, n))
-            if lex_less(r, left, depth, budget).is_certified and \
-                    lex_less(r, right, depth, budget).is_certified:
-                return certified(depth, witness=("1/n", n))
         for side, name in ((left, "left"), (right, "right")):
             side_li = leading_index(side, depth, budget)
             if side_li.is_certified and side_li.witness >= 1:
                 return refuted(depth, witness=(name, side_li.witness),
                                reason="gap is infinitesimal: every rational "
                                       "radius reaches outside the interval")
-        return unknown(depth, reason="no radius certified within depth")
-    if kind == "e":
-        for m in range(1, depth + 1):
-            r = monomial(1, m)
-            if lex_less(r, left, depth, budget).is_certified and \
-                    lex_less(r, right, depth, budget).is_certified:
-                return certified(depth, witness=("eps^m", m))
-        return unknown(depth, reason="no radius certified within depth")
-    raise ValueError("kind must be 'st' or 'e'")
+    return unknown(depth, reason="no radius certified within depth")

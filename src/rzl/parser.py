@@ -38,8 +38,9 @@ from .number import PartSelector, RzlNumber, from_coefficients, from_rational
 # accepted; deeper input is refused before it can exhaust the stack.
 _MAX_NESTING = 100
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|"
-                    rf"([+\-*/^()])|({E._GROSSONE}))")
+# whitespace matches no group and is skipped; any other character no
+# token starts with is the last group's, and an error
+_TOKEN = re.compile(rf"(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([+\-*/^()])|({E._GROSSONE})|(\S)")
 
 _FUNCTIONS = {
     "sin": E.Sin,
@@ -62,56 +63,44 @@ class ParseError(ValueError):
         self.pos = pos
 
 
-class _Tokens:
-    def __init__(self, text: str):
-        self.text = text
-        self.items = []
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN.match(text, pos)
-            if m is None or m.end() == pos:
-                rest = text[pos:]
-                stripped = rest.lstrip()
-                if stripped == "":
-                    break
-                bad = pos + (len(rest) - len(stripped))
-                raise ParseError(f"unexpected character {text[bad]!r}", bad)
-            number, name, op, circled = m.groups()
-            if number is not None:
-                self.items.append(("num", int(number), m.start(1)))
-            elif name is not None:
-                self.items.append(("name", name, m.start(2)))
-            elif circled is not None:
-                self.items.append(("name", "w", m.start(4)))
-            else:
-                self.items.append(("op", op, m.start(3)))
-            pos = m.end()
-        self.items.append(("end", None, len(text)))
-        self.i = 0
+def _tokens(text: str) -> list:
+    """(kind, value, position) triples, ending with ("end", None, len(text))."""
+    items = []
+    for m in _TOKEN.finditer(text):
+        number, name, op, _, bad = m.groups()
+        if bad is not None:
+            raise ParseError(f"unexpected character {bad!r}", m.start())
+        if number is not None:
+            items.append(("num", int(number), m.start()))
+        elif op is None:   # a name, or the circled one, which is w
+            items.append(("name", name or "w", m.start()))
+        else:
+            items.append(("op", op, m.start()))
+    items.append(("end", None, len(text)))
+    return items
+
+
+class _Parser:
+    def __init__(self, text: str, variable: str):
+        self.toks, self.i = _tokens(text), 0
+        self.variable = variable
+        self.nesting = -1   # the outermost expression is level 0
 
     def peek(self):
-        return self.items[self.i]
+        return self.toks[self.i]
 
     def next(self):
-        tok = self.items[self.i]
         self.i += 1
-        return tok
+        return self.toks[self.i - 1]
 
     def expect_op(self, op: str):
         kind, val, pos = self.next()
         if kind != "op" or val != op:
             raise ParseError(f"expected {op!r}", pos)
 
-
-class _Parser:
-    def __init__(self, text: str, variable: str):
-        self.toks = _Tokens(text)
-        self.variable = variable
-        self.nesting = -1   # the outermost expression is level 0
-
     def parse(self) -> E.Expr:
         node = self.expr()
-        kind, val, pos = self.toks.peek()
+        kind, val, pos = self.peek()
         if kind != "end":
             raise ParseError(f"unexpected trailing input {val!r}", pos)
         return node
@@ -120,15 +109,15 @@ class _Parser:
         self.nesting += by
         if self.nesting > _MAX_NESTING:
             raise ParseError(f"nesting deeper than {_MAX_NESTING} levels",
-                             self.toks.peek()[2])
+                             self.peek()[2])
 
     def expr(self) -> E.Expr:
         self._nest(1)
         node = self.term()
         while True:
-            kind, val, _ = self.toks.peek()
+            kind, val, _ = self.peek()
             if kind == "op" and val in "+-":
-                self.toks.next()
+                self.next()
                 rhs = self.term()
                 node = E.Add(node, rhs) if val == "+" else E.Sub(node, rhs)
             else:
@@ -138,9 +127,9 @@ class _Parser:
     def term(self) -> E.Expr:
         node = self.unary()
         while True:
-            kind, val, _ = self.toks.peek()
+            kind, val, _ = self.peek()
             if kind == "op" and val in "*/":
-                self.toks.next()
+                self.next()
                 rhs = self.unary()
                 if val == "*":
                     node = E.Mul(node, rhs)
@@ -159,9 +148,9 @@ class _Parser:
         return E.Div(lhs, rhs)
 
     def unary(self) -> E.Expr:
-        kind, val, _ = self.toks.peek()
+        kind, val, _ = self.peek()
         if kind == "op" and val == "-":
-            self.toks.next()
+            self.next()
             self._nest(1)
             inner = self.unary()
             self._nest(-1)
@@ -173,46 +162,46 @@ class _Parser:
     def power(self) -> E.Expr:
         node = self.atom()
         while True:
-            kind, val, _ = self.toks.peek()
+            kind, val, _ = self.peek()
             if kind == "op" and val == "^":
-                self.toks.next()
+                self.next()
                 node = self._apply_power(node)
             else:
                 return node
 
     def _apply_power(self, base: E.Expr) -> E.Expr:
-        kind, val, pos = self.toks.peek()
+        kind, val, pos = self.peek()
         if kind == "num":
-            self.toks.next()
+            self.next()
             return E.PowInt(base, val)
         if kind == "name" and val == self.variable == "n":
-            self.toks.next()
+            self.next()
             return E.PowSym(base, E.Var("n"))
         if kind == "op" and val == "(" and self.variable == "n":
-            self.toks.next()
+            self.next()
             inner = self.expr()
-            self.toks.expect_op(")")
+            self.expect_op(")")
             return E.PowSym(base, inner)
         raise ParseError("exponent must be a nonnegative integer", pos)
 
     def atom(self) -> E.Expr:
-        kind, val, pos = self.toks.next()
+        kind, val, pos = self.next()
         if kind == "num":
             return E.Const(val)
         if kind == "op" and val == "(":
             node = self.expr()
-            self.toks.expect_op(")")
+            self.expect_op(")")
             return node
         if kind == "name":
-            nxt_kind, nxt_val, _ = self.toks.peek()
+            nxt_kind, nxt_val, _ = self.peek()
             if nxt_kind == "op" and nxt_val == "(":
                 ctor = _FUNCTIONS.get(val)
                 sel = _PARTS.get(val)
                 if ctor is None and sel is None:
                     raise ParseError(f"unknown function {val!r}", pos)
-                self.toks.next()
+                self.next()
                 arg = self.expr()
-                self.toks.expect_op(")")
+                self.expect_op(")")
                 return ctor(arg) if ctor is not None else E.Part(sel, arg)
             if val == "eps":
                 return E.EpsilonLit()

@@ -27,6 +27,8 @@ import math
 import numbers
 from fractions import Fraction
 
+from .verdict import UndecidedError
+
 Rational = Fraction
 
 #: Precision ceiling for sign decisions on computable reals.  Escalation is
@@ -78,7 +80,8 @@ class CompReal:
     the value; the arithmetic operators, `reciprocal` and
     `creal_elementary` build DAG nodes over such leaves and rationals.  A
     node's value is a function of its op, data and kids, so the DAG is
-    the record of how the value was built.
+    the record of how the value was built.  `reciprocal` certifies its own
+    bound on |value|, so no fact a caller asserts enters the DAG.
     """
 
     __slots__ = ("_op", "_kids", "_data", "_balls", "_memo")
@@ -195,11 +198,14 @@ class CompReal:
             return self
         return CompReal._node(_scale_ball, (self,), _as_fraction(q))
 
-    def reciprocal(self, lower_bound: Fraction) -> "CompReal":
-        """Reciprocal given a certified rational bound 0 < lower_bound <= |value|."""
-        if lower_bound <= 0:
-            raise ValueError("reciprocal needs a positive certified lower bound")
-        return CompReal._node(_reciprocal_ball, (self,), _as_fraction(lower_bound))
+    def reciprocal(self, budget: int = PRECISION_BUDGET) -> "CompReal":
+        """1/value, bounding |value| below by min(|lo|, |hi|) of the bracket
+        `bracket_clear_of((0,), budget)` finds; raises `UndecidedError` when
+        no bracket within the budget clears 0."""
+        clear = self.bracket_clear_of((0,), budget)
+        if clear is None:
+            raise UndecidedError("reciprocal needs a bracket clear of 0 within the budget")
+        return CompReal._node(_reciprocal_ball, (self,), min(abs(clear[0]), abs(clear[1])))
 
     def bracket_clear_of(self, cuts, budget: int = PRECISION_BUDGET):
         """The first bracket at precision 1, 2, 4, ... <= budget that holds

@@ -267,6 +267,26 @@ def test_converge_empty_window_exit(capsys, argv):
     assert "window of" in doc["error"] or "index budget" in doc["error"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["eval", "1/3"],
+    ["der", "x^2"],
+    ["permeate", "x^2"],
+    ["continuity", "x", "--at", "1/3"],
+    ["converge", "cc", "--seq", "1/n"],
+    ["converge", "hc", "--seq", "1/n"],
+    ["converge", "rc", "--seq", "1/n"],
+    ["converge", "cauchy", "--seq", "1/n"],
+    ["classify", "eps"],
+    ["inverse", "1+eps"],
+], ids=" ".join)
+def test_depth_below_1_exits_1(capsys, argv):
+    code, out, err = run(capsys, *argv, "--depth", "0")
+    assert (code, out, err) == (1, "", "error: depth must be a positive integer\n")
+    code, out, _ = run(capsys, *argv, "--depth", "0", "--format", "json")
+    assert code == 1
+    assert json.loads(out) == {"command": argv[0], "error": "depth must be a positive integer"}
+
+
 @pytest.mark.parametrize("argv", [[]] + [[verb] for verb in _VERBS])
 def test_help_exits_0(capsys, argv):
     with pytest.raises(SystemExit) as exc:

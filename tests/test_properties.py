@@ -32,6 +32,7 @@ from rzl.order import (  # noqa: E402
     e_ball,
     in_delta,
     lex_less,
+    point_interior_witness,
     psi_ball,
     rat_ball,
     sign_of,
@@ -176,6 +177,32 @@ def test_ball_contains_monotone_in_budget(center, z, n, depth, budget):
         _assert_monotone(lambda d, b: ball_contains(ball, z, d, b), depth, budget)
 
 
+@settings(deadline=None, max_examples=500, derandomize=True)
+@given(streams(), streams(), streams(), st.sampled_from([None, Fraction(1, 3), Fraction(1, 2)]),
+       depths, budgets)
+def test_order_witnesses_replay(x, y, w, t, depth, budget):
+    """A certified separation or interior witness replays at the default
+    depth and budget: the balls an 'st' or 'e' separation names refute
+    containing the other point, and the radius r an interior witness names
+    keeps (z - r, z + r) inside the interval.  z is the third stream, or
+    the point t of the way from one end of the interval to the other."""
+    for kind, ball in (("st", st_ball), ("e", lambda c, k: e_ball(c, monomial(1, k)))):
+        v = distinguishable(x, y, kind, depth, budget)
+        if v.is_certified and v.witness[1] >= 1:
+            for c, other in ((x, y), (y, x)):
+                assert ball_contains(ball(c, v.witness[1]), other).is_refuted, (kind, v)
+    a, b = (y, x) if lex_less(y, x, depth, budget).is_certified else (x, y)
+    z = w if t is None else a + (b - a) * t
+    if not (lex_less(a, z, depth, budget).is_certified
+            and lex_less(z, b, depth, budget).is_certified):
+        return
+    for kind in ("st", "e"):
+        v = point_interior_witness((a, b), z, kind, depth, budget)
+        if v.is_certified:
+            name, k = v.witness
+            r = from_rational(Fraction(1, k)) if name == "1/n" else monomial(1, k)
+            assert lex_less(a, z - r).is_certified and lex_less(z + r, b).is_certified, v
+
 
 # -- ball arithmetic against an independent oracle -------------------------------
 
@@ -206,15 +233,14 @@ def test_ball_approximations_are_sound(leaf_list, step_list):
         for op, i, j, q in step_list:
             (a, va), (b, vb) = nodes[i % len(nodes)], nodes[j % len(nodes)]
             if op == "/":
-                clear = b.bracket_clear_of((0,))
-                if clear is None:           # divisor not separated from 0
+                if b.bracket_clear_of((0,)) is None:   # divisor not separated from 0
                     continue
-                lo, hi = clear
-                c, v = a * b.reciprocal(min(abs(lo), abs(hi))), va / vb
+                c, v = a * b.reciprocal(), va / vb
             else:
                 c, v = {"+": (a + b, va + vb), "-": (a - b, va - vb),
                         "*": (a * b, va * vb), "scale": (a * q, va * mp(q))}[op]
-            if abs(v) <= 1000:
+            # a scaling by 0 is the exact int 0, which has no balls
+            if abs(v) <= 1000 and isinstance(c, CompReal):
                 nodes.append((c, v))
         slack = mpmath.mpf(10) ** -30
         for c, v in nodes:
@@ -278,13 +304,11 @@ def test_bracket_clear_of_matches_the_fraction_loop(leaf_list, step_list, b, bud
         i, j = i % len(nodes), j % len(nodes)
         (a, make_a), (c, make_c) = (nodes[i], makes[i]), (nodes[j], makes[j])
         if op == "/":               # a / (c*q): a small q needs retries
-            clear = (c * q).bracket_clear_of((0,))
-            if clear is None:
+            if (c * q).bracket_clear_of((0,)) is None:
                 continue
-            bound = min(abs(clear[0]), abs(clear[1]))
 
-            def make(make_a=make_a, make_c=make_c, q=q, bound=bound):
-                return make_a() * (make_c() * q).reciprocal(bound)
+            def make(make_a=make_a, make_c=make_c, q=q):
+                return make_a() * (make_c() * q).reciprocal()
         elif op == "zero":
             # exactly 0 from two distinct DAGs whose centres differ by the
             # roundings of 1/3
@@ -292,14 +316,12 @@ def test_bracket_clear_of_matches_the_fraction_loop(leaf_list, step_list, b, bud
                 return make_a() - make_a() * Fraction(1, 3) * 3
         elif op == "rzero":
             # the same, with the roundings amplified by 1/(a*q)
-            clear = (a * q).bracket_clear_of((0,))
-            if clear is None:
+            if (a * q).bracket_clear_of((0,)) is None:
                 continue
-            bound = min(abs(clear[0]), abs(clear[1]))
 
-            def make(make_a=make_a, q=q, bound=bound):
-                return ((make_a() * q).reciprocal(bound)
-                        - (make_a() * q * Fraction(1, 3) * 3).reciprocal(bound))
+            def make(make_a=make_a, q=q):
+                return ((make_a() * q).reciprocal()
+                        - (make_a() * q * Fraction(1, 3) * 3).reciprocal())
         else:
             def make(op=op, make_a=make_a, make_c=make_c, q=q):
                 x, y = make_a(), make_c()
@@ -334,21 +356,19 @@ def _dag_recipe(leaf_list, step_list):
     for op, i, j, q in step_list:
         i, j = i % len(nodes), j % len(nodes)
         (a, make_a), (c, make_c) = (nodes[i], makes[i]), (nodes[j], makes[j])
-        if op in ("/", "rzero"):
-            clear = ((c if op == "/" else a) * q).bracket_clear_of((0,))
-            if clear is None:
-                continue
-            bound = min(abs(clear[0]), abs(clear[1]))
+        if op in ("/", "rzero") and \
+                ((c if op == "/" else a) * q).bracket_clear_of((0,)) is None:
+            continue
         if op == "/":
-            def make(make_a=make_a, make_c=make_c, q=q, bound=bound):
-                return make_a() * (make_c() * q).reciprocal(bound)
+            def make(make_a=make_a, make_c=make_c, q=q):
+                return make_a() * (make_c() * q).reciprocal()
         elif op == "zero":
             def make(make_a=make_a):
                 return make_a() - make_a() * Fraction(1, 3) * 3
         elif op == "rzero":
-            def make(make_a=make_a, q=q, bound=bound):
-                return ((make_a() * q).reciprocal(bound)
-                        - (make_a() * q * Fraction(1, 3) * 3).reciprocal(bound))
+            def make(make_a=make_a, q=q):
+                return ((make_a() * q).reciprocal()
+                        - (make_a() * q * Fraction(1, 3) * 3).reciprocal())
         else:
             def make(op=op, make_a=make_a, make_c=make_c, q=q):
                 x, y = make_a(), make_c()

@@ -20,6 +20,7 @@ from rzl.scalar import (
     scalar_sign,
     scalar_str,
 )
+from rzl.verdict import UndecidedError
 
 
 def euler_number_oracle() -> tuple[F, F]:
@@ -211,16 +212,30 @@ def test_scalar_abs_within():
 
 def test_creal_reciprocal():
     c = creal_elementary("exp", 1)
-    lo, hi = c.bracket(8)
-    r = c.reciprocal(lo)
+    r = c.reciprocal()
     val = r.approx(10 ** 6)
     assert abs(float(val) - 1 / math.e) < 1e-5
 
 
+def test_reciprocal_is_built_only_once_a_bracket_clears_zero():
+    # an exact 0 from two distinct nodes: no bracket clears it, so no
+    # reciprocal node exists whose balls could be read forever
+    with pytest.raises(UndecidedError):
+        (creal_elementary("sin", F(1, 3)) - creal_elementary("sin", F(1, 3))).reciprocal()
+    # a value of about 6.8e-9 needs brackets finer than the default budget
+    mpmath = pytest.importorskip("mpmath")
+    d = creal_elementary("sin", F(1, 3)) - F(32719469, 10 ** 8)
+    with pytest.raises(UndecidedError):
+        d.reciprocal()
+    a = d.reciprocal(2 ** 30).approx(10 ** 6)
+    with mpmath.workdps(50):
+        v = 1 / (mpmath.sin(mpmath.mpf(1) / 3) - mpmath.mpf(32719469) / 10 ** 8)
+        assert abs(mpmath.mpf(a.numerator) / a.denominator - v) <= mpmath.mpf(1) / 10 ** 6
+
+
 def test_exact_zero_factor_stays_exact():
     c = creal_elementary("sin", 1)
-    lo, _ = c.bracket_clear_of((0,))
-    for z in (0 * c, c * 0, 0 * c.reciprocal(lo)):
+    for z in (0 * c, c * 0, 0 * c.reciprocal()):
         assert type(z) is int and scalar_sign(z) == 0
 
 
@@ -291,11 +306,11 @@ def test_scalar_eq_of_a_value_with_itself():
 
 
 def test_approx_retries_at_a_higher_precision(monkeypatch):
-    # the denominator's certified lower bound is 1e-7 while its value is
-    # about 4.7e-6, so the reciprocal's ball at the first working precision
-    # is too wide and approx raises the precision
+    # the denominator's self-certified lower bound is about 8.8e-7 while
+    # its value is about 4.7e-6, so the reciprocal's ball at the first
+    # working precision is too wide and approx raises the precision
     mpmath = pytest.importorskip("mpmath")
-    x = (creal_elementary("sin", F(1, 3)) - F(32719, 100000)).reciprocal(F(1, 10 ** 7))
+    x = (creal_elementary("sin", F(1, 3)) - F(32719, 100000)).reciprocal()
     precisions = []
     ball = CompReal.ball
 
@@ -327,13 +342,13 @@ def test_scalar_str_below_the_render_cap():
 def test_inverse_builds_one_reciprocal_node(monkeypatch):
     # inverse divides every coefficient by the one reciprocal of its
     # leading coefficient
-    bounds = []
+    budgets = []
     reciprocal = CompReal.reciprocal
     monkeypatch.setattr(CompReal, "reciprocal",
-                        lambda self, bound: bounds.append(bound) or reciprocal(self, bound))
+                        lambda self, budget: budgets.append(budget) or reciprocal(self, budget))
     x = _inverse_two_plus_sin()
     assert all(isinstance(x[i], CompReal) for i in range(21))
-    assert len(bounds) == 1
+    assert len(budgets) == 1
 
 
 def test_undecided_escalation_reads_one_ball_per_band(monkeypatch):
