@@ -30,7 +30,7 @@ from .number import (
     from_rational,
     monomial,
 )
-from .order import lex_less, within_radius
+from .order import within_radius
 from .scalar import PRECISION_BUDGET, is_rational_scalar
 from .verdict import UndecidedError, Verdict, certified, refuted, unknown
 
@@ -126,18 +126,19 @@ def _stream_tolerances(coefficients, orders):
     return [(f"{a}*eps^{j}", monomial(a, j)) for j in orders for a in coefficients]
 
 
-def _stream_radii(orders, depth: int, precision: int):
+def _stream_radii(orders, depth: int):
     """(label, candidates) for the radii a*eps^j on the grid; `candidates()`
-    lists the first `_GRID_COUNT` grid displacements ±(q/2)*eps^i, i from
-    the lowest order up, certified strictly inside the radius."""
-    grid = [(monomial(q * _HALF, i), monomial(-q * _HALF, i))
+    lists the first `_GRID_COUNT` grid displacements ±h*eps^i (h = q/2), i
+    from the lowest order up, that `lex_less(h*eps^i, a*eps^j, depth)`
+    certifies; for i, j >= 0: j <= depth, and i > j or h < a at i == j."""
+    grid = [(i, q * _HALF, (monomial(q * _HALF, i), monomial(-q * _HALF, i)))
             for i in range(min(orders), _GRID_MAX_INDEX + 1) for q in _GRID_COEFFICIENTS]
 
-    def candidates(radius):
-        return [d for pair in grid
-                if lex_less(pair[0], radius, depth, precision).is_certified
+    def candidates(a, j):
+        return [d for i, h, pair in grid
+                if j <= depth and (i > j or (i == j and h < a))
                 for d in pair][:_GRID_COUNT]
-    return [(f"{a}*eps^{j}", lambda r=monomial(a, j): candidates(r))
+    return [(f"{a}*eps^{j}", lambda a=a, j=j: candidates(a, j))
             for j in orders for a in _GRID_COEFFICIENTS]
 
 
@@ -201,7 +202,7 @@ def check_kn_continuity(q: ContinuityQuery, depth: int = DEFAULT_DEPTH,
     if cert is not None:
         return cert
     return _refute(q.f, c, _stream_tolerances(_GRID_COEFFICIENTS[:2], (k,)),
-                   _stream_radii((n,), depth, precision), "eps1",
+                   _stream_radii((n,), depth), "eps1",
                    "radius family budgeted by the witness grid", depth, precision)
 
 
@@ -261,5 +262,5 @@ def check_ed(f: E.Expr, point: RzlNumber, depth: int = DEFAULT_DEPTH,
         return cert
     # refutation: some stream tolerance violated inside every budgeted radius
     return _refute(f, c, _stream_tolerances(_GRID_COEFFICIENTS[:2], range(3)),
-                   _stream_radii(range(_GRID_MAX_INDEX + 1), depth, precision),
+                   _stream_radii(range(_GRID_MAX_INDEX + 1), depth),
                    "tolerance", "radius family budgeted", depth, precision)

@@ -23,7 +23,7 @@ from .number import (
     leading_index,
     monomial,
 )
-from .scalar import PRECISION_BUDGET, scalar_abs_within, scalar_sign
+from .scalar import PRECISION_BUDGET, scalar_abs_within, scalar_is_zero, scalar_sign
 from .verdict import UndecidedError, Verdict, certified, refuted, unknown
 
 NEGATIVE = "negative"
@@ -205,16 +205,38 @@ def e_ball(center: RzlNumber, radius: RzlNumber) -> BallSpec:
 
 
 def within_radius(d: RzlNumber, r: RzlNumber, depth: int, budget: int) -> Verdict:
-    """Certify -r < d < r (two-sided, avoids needing a certified sign of d)."""
-    upper = lex_less(d, r, depth, budget)
-    if upper.is_refuted:
-        return refuted(depth, witness=upper.witness)
-    # -r < d is the sign of d + r, one stream
-    lower = sign_of(d + r, depth, budget)
-    if lower.is_certified and lower.value == NEGATIVE:
-        return refuted(depth, witness=lower.witness)
-    if upper.is_certified and lower.is_certified:
-        return certified(depth, witness=(lower.witness, upper.witness))
+    """Certify -r < d < r in one scan of d and r over the window of
+    `leading_index(r - d)`.  At each index the upper side r[i] - d[i] and
+    the lower side d[i] + r[i] are decided as that scan decides, each side
+    stopping where its own scan would; where r[i] is an exact 0 the sides
+    are the mirror balls -d[i] and d[i], one decision.  A refuted upper
+    side wins over the lower one; the certified witness is (lower, upper)."""
+    d, r = as_number(d), as_number(r)
+    if depth < 1:
+        raise ValueError("depth must be a positive integer")
+    low = min(d.low, r.low)
+    hi = low + depth
+    if d.finite_support is not None and r.finite_support is not None:
+        hi = min(hi, max(d.finite_support, r.finite_support))
+    up = lo = None   # (index, sign) where a side stopped; sign None: undecided
+    for i in range(low, hi + 1):
+        ri, di = r[i], d[i]
+        mirror = scalar_is_zero(ri)
+        s = scalar_sign(di, budget) if mirror else None
+        if up is None:
+            su = (s and -s) if mirror else scalar_sign(ri - di, budget)
+            if su == -1:
+                return refuted(depth, witness=(i, NEGATIVE))
+            up = (i, su) if su != 0 else None
+        if lo is None:
+            sl = s if mirror else scalar_sign(di + ri, budget)
+            lo = (i, sl) if sl != 0 else None
+        if up is not None and lo is not None:
+            break
+    if lo is not None and lo[1] == -1:
+        return refuted(depth, witness=(lo[0], NEGATIVE))
+    if up is not None and lo is not None and up[1] == lo[1] == 1:
+        return certified(depth, witness=((lo[0], POSITIVE), (up[0], POSITIVE)))
     return unknown(depth, reason="containment undecided at depth")
 
 

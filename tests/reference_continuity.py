@@ -26,6 +26,8 @@ import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from reference_order import within_radius
+
 from rzl import expr as E
 from rzl.calculus import evaluate
 from rzl.number import (
@@ -35,7 +37,7 @@ from rzl.number import (
     from_rational,
     monomial,
 )
-from rzl.order import lex_less, within_radius
+from rzl.order import lex_less
 from rzl.scalar import PRECISION_BUDGET, is_rational_scalar
 from rzl.verdict import UndecidedError, Verdict, certified, refuted, unknown
 

@@ -28,8 +28,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from reference_order import within_radius
+
 from rzl.number import DEFAULT_DEPTH, RzlNumber, as_number, from_rational
-from rzl.order import POSITIVE, sign_of, within_radius
+from rzl.order import POSITIVE, sign_of
 from rzl.scalar import PRECISION_BUDGET, is_rational_scalar
 from rzl.verdict import Verdict, certified, refuted, unknown
 

@@ -4,7 +4,8 @@ copy of their earlier, loop-per-notion implementation.
 Every query of a fixed corpus must give the same verdict JSON (state,
 depth, witness, value, reason, caveat) or raise the same exception type
 with the same message, and no continuity query may evaluate the function
-more often than the reference does.
+more often than the reference does.  Every refutation of the corpus must
+replay from its witness (and, for a window of terms, its caveat).
 """
 
 from fractions import Fraction as F
@@ -15,9 +16,13 @@ import reference_convergence as ref_conv
 
 from rzl import continuity, convergence
 from rzl import expr as E
+from rzl.calculus import evaluate
 from rzl.cli import _verdict_json
-from rzl.number import epsilon, from_rational, omega, one
-from rzl.parser import parse, parse_sequence
+from rzl.number import DEFAULT_DEPTH, epsilon, from_rational, monomial, omega, one
+from rzl.order import within_radius
+from rzl.parser import parse, parse_rendered, parse_sequence
+from rzl.scalar import PRECISION_BUDGET
+from rzl.verdict import DomainError
 
 X = E.X
 
@@ -140,6 +145,81 @@ def test_hc_reads_each_term_once(monkeypatch):
     v = convergence.hc_check(seq, from_rational(0), [epsilon()])
     assert v.is_refuted
     assert len(calls) == 24
+
+
+def _number(label):
+    """The number a witness label names: "a*eps^j", "1/m" or a rendered
+    coefficient list, which parses back on the rational fragment only."""
+    if "," in label:
+        return parse_rendered(label)
+    if "*eps^" in label:
+        a, j = label.split("*eps^")
+        return monomial(F(a), int(j))
+    return from_rational(F(label))
+
+
+@pytest.mark.parametrize("fname", sorted(FUNCTIONS))
+def test_continuity_refutations_replay(fname):
+    # each violation names a radius and a grid displacement d inside it
+    # with f(c + d) - f(c) certified outside the witness's tolerance
+    f, replayed = FUNCTIONS[fname], 0
+    for pname, point in POINTS.items():
+        for qname, query in CONTINUITY_QUERIES.items():
+            try:
+                out = query(continuity, f, point())
+            except DomainError:   # series functions at the infinite point
+                continue
+            for v in out.values() if isinstance(out, dict) else (out,):
+                if not v.is_refuted:
+                    continue
+                c = point()
+                tol = _number(v.witness.get("eps1") or v.witness["tolerance"])
+                for radius, hit in v.witness["violations"]:
+                    d = _number(hit)
+                    assert within_radius(d, _number(radius), DEFAULT_DEPTH,
+                                         PRECISION_BUDGET).is_certified, (pname, qname, radius)
+                    gap = evaluate(f, c + d) - evaluate(f, c)
+                    assert within_radius(gap, tol, DEFAULT_DEPTH,
+                                         PRECISION_BUDGET).is_refuted, (pname, qname, hit)
+                    replayed += 1
+    assert replayed or fname == "const"
+
+
+def _replay_convergence(seq, limit, v):
+    """Replay a refuted convergence verdict's witness term by term."""
+    window = range(1, int(v.caveat.split("..")[1].split(",")[0]) + 1)
+    w = v.witness
+    if "violating_index_by_term" in w:   # rc: a coefficient at or above 1/m
+        bound = _number(w["tolerance"])[0]
+        for n, i in w["violating_index_by_term"].items():
+            assert abs(F(seq(n)[i] - limit[i])) >= bound, (n, i)
+    elif "violations" in w:   # cc and hc: each term outside the tolerance
+        r = _number(w.get("tolerance") or w["radius"])
+        assert w["violations"] == list(window)
+        for n in w["violations"]:
+            assert within_radius(seq(n) - limit, r, DEFAULT_DEPTH,
+                                 PRECISION_BUDGET).is_refuted, n
+    else:   # hyper-Cauchy: each consecutive pair outside the radius
+        r = _number(w["radius"])
+        for n in window[:-1]:
+            assert within_radius(seq(n + 1) - seq(n), r, DEFAULT_DEPTH,
+                                 PRECISION_BUDGET).is_refuted, n
+
+
+def test_convergence_refutations_replay():
+    modes = set()
+    for text in SEQUENCES:
+        seq = convergence.RzlSequence(parse_sequence(text), text)
+        for lim in (F(0), F(1, 2)):
+            for qname, query in CONVERGENCE_QUERIES.items():
+                try:
+                    v = query(convergence, seq, from_rational(lim))
+                except ValueError:   # no radius, or a radius that is not positive
+                    continue
+                if v.is_refuted:
+                    _replay_convergence(seq, from_rational(lim), v)
+                    modes.add(qname.split("-")[0])
+    assert modes == {"cc", "hc", "rc", "cauchy"}
 
 
 def test_known_budget_flips_keep_their_verdicts():

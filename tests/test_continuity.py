@@ -153,3 +153,28 @@ def test_refuter_reads_f_once_per_grid_point(monkeypatch):
     del calls[:]
     check_ed_class(E.Sin(X), c)
     assert len(calls) == 11
+
+
+def test_stream_radii_selection_restates_lex_less():
+    # the closed-form choice of grid displacements inside each radius
+    # a*eps^j is the one lex_less certifies: on the whole grid, for every
+    # radius of the stream and graded checkers and every depth 1..16
+    from rzl.continuity import _GRID_COEFFICIENTS, _GRID_MAX_INDEX, _stream_radii
+    from rzl.number import monomial
+    from rzl.order import lex_less
+    from rzl.scalar import PRECISION_BUDGET
+    orders_list = [range(_GRID_MAX_INDEX + 1)] + [(n,) for n in range(_GRID_MAX_INDEX + 1)]
+    for depth in range(1, 17):
+        for orders in orders_list:
+            labels = [(a, j) for j in orders for a in _GRID_COEFFICIENTS]
+            for (a, j), (label, candidates) in zip(labels, _stream_radii(orders, depth),
+                                                   strict=True):
+                assert label == f"{a}*eps^{j}"
+                expected = [(i, sign * q / 2)
+                            for i in range(min(orders), _GRID_MAX_INDEX + 1)
+                            for q in _GRID_COEFFICIENTS
+                            if lex_less(monomial(q / 2, i), monomial(a, j), depth,
+                                        PRECISION_BUDGET).is_certified
+                            for sign in (1, -1)]
+                got = [(d.finite_support, d[d.finite_support]) for d in candidates()]
+                assert got == expected, (depth, orders, label)

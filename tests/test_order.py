@@ -299,11 +299,19 @@ def test_st_distinguishable_escalates_once(monkeypatch):
     assert len(calls) == 1
 
 
-def test_within_radius_stops_at_a_refuted_upper_side(monkeypatch):
-    import rzl.order as order
-    calls = []
-    lex = order.lex_less
-    monkeypatch.setattr(order, "lex_less", lambda *a: calls.append(a) or lex(*a))
-    v = order.within_radius(from_rational(2), one(), 8, 2 ** 20)
+def test_within_radius_stops_at_a_refuted_upper_side():
+    from rzl.number import make_number
+    from rzl.order import within_radius
+    v = within_radius(from_rational(2), one(), 8, 2 ** 20)
     assert v.is_refuted and v.witness == (0, NEGATIVE)
-    assert len(calls) == 1
+    # the same values as streams without a support bound, so the window
+    # runs to index 8: the upper side 1 - 2 < 0 refutes at index 0, and no
+    # coefficient past it is read
+    reads = []
+
+    def counted(value):
+        return make_number(0, lambda i: reads.append(i) or (value if i == 0 else 0))
+
+    v = within_radius(counted(2), counted(1), 8, 2 ** 20)
+    assert v.is_refuted and v.witness == (0, NEGATIVE)
+    assert reads == [0, 0]

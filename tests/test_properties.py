@@ -1,7 +1,8 @@
 """Property tests: precision escalation agrees with exact rational answers,
-order verdicts are monotone in their budgets, computable-real balls
-contain the values mpmath computes, and evaluate agrees with an
-independent truncated power-series evaluator."""
+order verdicts are monotone in their budgets, the one-scan containment
+test agrees with its two-scan reference, computable-real balls contain
+the values mpmath computes, and evaluate agrees with an independent
+truncated power-series evaluator."""
 
 import itertools
 import math
@@ -11,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
+import reference_order  # noqa: E402
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
@@ -37,6 +39,7 @@ from rzl.order import (  # noqa: E402
     rat_ball,
     sign_of,
     st_ball,
+    within_radius,
 )
 from rzl.scalar import CompReal, is_rational_scalar, scalar_abs_within, scalar_eq  # noqa: E402
 from rzl.verdict import DomainError, UndecidedError  # noqa: E402
@@ -202,6 +205,52 @@ def test_order_witnesses_replay(x, y, w, t, depth, budget):
             name, k = v.witness
             r = from_rational(Fraction(1, k)) if name == "1/n" else monomial(1, k)
             assert lex_less(a, z - r).is_certified and lex_less(z + r, b).is_certified, v
+
+
+def _counting_clears(call):
+    """call()'s result and the number of `bracket_clear_of` calls it made."""
+    clear, calls = CompReal.bracket_clear_of, []
+
+    def counted(self, *args):
+        calls.append(self)
+        return clear(self, *args)
+
+    CompReal.bracket_clear_of = counted
+    try:
+        return call(), len(calls)
+    finally:
+        CompReal.bracket_clear_of = clear
+
+
+@st.composite
+def containments(draw):
+    """(d, r) for -r < d < r: r a monomial, eps or a stream of either sign,
+    or d or -d plus a stream shifted up by 1 to 3 indices, so that one side
+    is exactly 0 where the other decides first."""
+    d = draw(streams())
+    kind = draw(st.sampled_from(["monomial", "eps", "stream", "d", "-d"]))
+    if kind == "monomial":
+        return d, monomial(draw(rationals), draw(st.integers(min_value=-2, max_value=4)))
+    if kind == "eps":
+        return d, epsilon()
+    e = draw(streams())
+    if kind == "stream":
+        return d, e
+    return d, (d if kind == "d" else -d) + e.shift(draw(st.integers(min_value=1, max_value=3)))
+
+
+@settings(deadline=None, max_examples=400, derandomize=True)
+@given(containments(), depths, budgets)
+def test_within_radius_matches_the_two_scan_reference(dr, depth, budget):
+    """The one-scan containment test returns the verdict of the two scans
+    it replaced, field for field, for radii of either sign, and decides no
+    computable-real coefficient more often than they did."""
+    d, r = dr
+    got, got_clears = _counting_clears(lambda: within_radius(d, r, depth, budget))
+    want, want_clears = _counting_clears(
+        lambda: reference_order.within_radius(d, r, depth, budget))
+    assert got == want
+    assert got_clears <= want_clears
 
 
 # -- ball arithmetic against an independent oracle -------------------------------
