@@ -11,6 +11,11 @@ access and memoized.  `low` marks the lowest tracked index and may well
 point at a zero coefficient -- normalizing it away would require deciding
 that a coefficient is nonzero, which is impossible in general.  The
 explicit, depth-bounded normalizer is `leading_index`.
+
+A product's coefficient is a Cauchy convolution of its factors'
+coefficients, so K coefficients cost O(K**2) scalar operations.  Over
+exact windows read in index order, each coefficient is one integer sum
+that reads every factor coefficient once (`_ExactWindow`).
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from __future__ import annotations
 import functools
 import operator
 import sys
+import threading
 from enum import Enum
 from fractions import Fraction
 from math import gcd
@@ -107,17 +113,28 @@ class RzlNumber:
         fs = None
         if self.finite_support is not None and other.finite_support is not None:
             fs = self.finite_support + other.finite_support
+        window = None   # built at the first window of EXACT_WIDTH terms
 
         def conv(k):
+            nonlocal window
             # Finite Cauchy product slice: i >= self.low and k-i >= other.low.
             lo, hi = self.low, k - other.low
             if self.finite_support is not None:
                 hi = min(hi, self.finite_support)
             if other.finite_support is not None:
                 lo = max(lo, k - other.finite_support)
+            if hi - lo + 1 >= EXACT_WIDTH:
+                if window is None:
+                    window = _ExactWindow(self.__getitem__, self.low,
+                                          other.__getitem__, other.low)
+                v = window.sum(k, lo, hi, done)
+                if v is not None:
+                    return v
             return convolution_sum(self.__getitem__, other.__getitem__, k, lo, hi)
 
-        return RzlNumber(low, conv, fs)
+        product = RzlNumber(low, conv, fs)
+        done = product._memo   # not the product itself: conv would hold a cycle
+        return product
 
     __rmul__ = __mul__
 
@@ -323,6 +340,10 @@ def convolution_sum(a, b, k: int, lo: int, hi: int):
     scalar operators.  The result is an int when every surviving factor was
     an int, a Fraction when one was a Fraction, and the int 0 when no term
     survives: the same value and type as adding the terms one by one.
+
+    Products and `inverse` call it for windows narrower than EXACT_WIDTH,
+    for reads out of index order and once a coefficient is not exact;
+    wider exact windows read in order go through `_ExactWindow`.
     """
     num, den, frac = 0, 1, False   # the exact terms so far sum to num/den
     acc = None                     # the sum, once a term is not exact
@@ -358,6 +379,137 @@ def convolution_sum(a, b, k: int, lo: int, hi: int):
     if acc is None:
         return Fraction(num, den) if frac else num
     return acc
+
+
+#: Fewest terms a convolution window holds before `_ExactWindow` sums it.
+#: Narrower windows, such as those of a low-degree polynomial factor, cost
+#: less through `convolution_sum` than building the prefixes would.
+EXACT_WIDTH = 8
+
+# Per-coefficient codes: 0 for an exact zero, 1 for a nonzero int and
+# _FRACTION for a nonzero Fraction.  The product of two codes is 0 for a
+# term with a zero factor, 1 for an int * int term and at least _MANY for
+# a term with a Fraction factor; a window of fewer than _MANY terms thus
+# holds a surviving Fraction term exactly when its code sum reaches _MANY.
+_MANY = 1 << 32
+_FRACTION = 1 + _MANY
+
+
+class _Prefix:
+    """An operand's exact coefficients get(start), get(start + 1), ... as
+    read so far: integer numerators over one common denominator, published
+    together as `state` = (numerators, denominator), and their codes.  A
+    list only grows at its end (a wider denominator publishes a new
+    numerator list), and `codes` grows last, so a reader that sees n codes
+    finds n numerators under any later `state`."""
+
+    __slots__ = ("get", "start", "state", "codes", "ints", "fracs", "first")
+
+    def __init__(self, get, start: int):
+        self.get, self.start = get, start
+        self.state, self.codes = ([], 1), []
+        self.ints = self.fracs = False   # a nonzero int, a nonzero Fraction
+        self.first = None                # index of the first nonzero
+
+    def push(self, v) -> bool:
+        """Append v, the next coefficient; False, appending nothing, when v
+        is not an int or a Fraction."""
+        nums, den = self.state
+        tv = type(v)
+        if tv is int:
+            num, code = v * den, 1 if v else 0
+            self.ints = self.ints or v != 0
+        elif tv is Fraction:
+            d = v.denominator
+            if den % d:   # widen the common denominator: a new list
+                grow = d // gcd(den, d)
+                den *= grow
+                nums = [n * grow for n in nums]
+            num = v.numerator * (den // d)
+            code = _FRACTION if num else 0
+            self.fracs = self.fracs or num != 0
+        else:
+            return False
+        if code and self.first is None:
+            self.first = self.start + len(self.codes)
+        nums.append(num)
+        self.state = nums, den
+        self.codes.append(code)
+        return True
+
+
+class _ExactWindow:
+    """`convolution_sum(a, b, k, lo, hi)` for a run of k, while every
+    coefficient read is an int or a Fraction, from prefixes that read each
+    operand coefficient once: one C-level sum of numerator products per k
+    and one normalisation, the same value and type.
+
+    `sum` goes on only when all of k's predecessors are in `done`, the
+    memo of the outputs.  Then the operands are read exactly as far as
+    `convolution_sum` would have read them for those outputs and k: a up
+    to hi, and b up to k minus a's first nonzero index, so b(k - i) is
+    never read where every a(i) up to i is an exact 0.  Otherwise, or from
+    the first coefficient that is not exact on, it returns None and the
+    caller calls `convolution_sum`.  The operand reads happen outside the
+    lock, and a value is appended only where its index is next, so threads
+    sharing a window keep one consistent prefix."""
+
+    __slots__ = ("a", "b", "lock", "exact", "next")
+
+    def __init__(self, a, a_start: int, b, b_start: int):
+        self.a, self.b = _Prefix(a, a_start), _Prefix(b, b_start)
+        self.lock = threading.Lock()
+        self.exact = True
+        self.next = a_start + b_start   # every output below it is computed
+
+    def _fill(self, p: _Prefix, upto: int) -> bool:
+        codes = p.codes
+        while self.exact and p.start + len(codes) <= upto:
+            j = p.start + len(codes)
+            v = p.get(j)
+            with self.lock:
+                if p.start + len(codes) == j and not p.push(v):
+                    self.exact = False
+        return self.exact
+
+    def sum(self, k: int, lo: int, hi: int, done):
+        if not self.exact:
+            return None
+        n = self.next
+        while n < k and n in done:
+            n += 1
+        self.next = n
+        if n != k:
+            return None
+        a, b = self.a, self.b
+        # convolution_sum's new reads, in its order: b past the last output,
+        # a(hi), then b once more where a(hi) is a's first nonzero
+        if a.first is not None and not self._fill(b, k - max(lo, a.first)):
+            return None
+        if not self._fill(a, hi):
+            return None
+        if a.first is None or a.first > hi:
+            self.next = k + 1
+            return 0
+        s = max(lo, a.first)   # a(s) pairs with b(k - s)
+        if not self._fill(b, k - s):
+            return None
+        self.next = k + 1
+        (a_nums, a_den), (b_nums, b_den) = a.state, b.state
+        i, j, width = s - a.start, k - hi - b.start, hi - s + 1
+        ys = b_nums[j:j + width]
+        ys.reverse()
+        num = sum(map(operator.mul, a_nums[i:i + width], ys))
+        if not (a.fracs or b.fracs):   # ints only: both denominators are 1
+            return num
+        den = a_den * b_den
+        if num and not (a.ints and b.ints):   # a Fraction in every term
+            return Fraction(num, den)
+        ys = b.codes[j:j + width]
+        ys.reverse()
+        if sum(map(operator.mul, a.codes[i:i + width], ys)) >= _MANY:
+            return Fraction(num, den)
+        return num // den
 
 
 def _exact_zeros(x: RzlNumber, hi: int | None = None) -> bool:
@@ -414,6 +566,9 @@ def inverse(x: RzlNumber, depth: int = DEFAULT_DEPTH,
     the inverse is a**-1 * eps**-m * sum((-u)**j); every coefficient of
     that series is a finite computation, realized here by the equivalent
     convolution recurrence w[0]=1, w[t] = -sum(u[j]*w[t-j], j=1..t).
+    The recurrence runs in index order, so from EXACT_WIDTH terms on an
+    exact u is summed by `_ExactWindow`, which keeps u and w as integer
+    numerators: the 1/a folded into u costs no Fraction per term.
     """
     li = leading_index(x, depth, budget)
     if not li.is_certified:
@@ -426,8 +581,20 @@ def inverse(x: RzlNumber, depth: int = DEFAULT_DEPTH,
     # coefficient of eps**j in (1+u), for j >= 1
     rel = functools.cache(lambda j: x[m + j] * inv_a)
     top = None if x.finite_support is None else x.finite_support - m
-    w_at = recurrence(lambda t, w: -convolution_sum(
-        rel, w.__getitem__, t, 1, t if top is None else min(t, top)), 1)
+    window = None   # built at the first window of EXACT_WIDTH terms
+
+    def step(t, w):
+        nonlocal window
+        hi = t if top is None else min(t, top)
+        if hi >= EXACT_WIDTH:
+            if window is None:
+                window = _ExactWindow(rel, 1, w.__getitem__, 0)
+            v = window.sum(t, 1, hi, w)
+            if v is not None:
+                return -v
+        return -convolution_sum(rel, w.__getitem__, t, 1, hi)
+
+    w_at = recurrence(step, 1)
 
     fs = None
     if x.finite_support is not None and x.finite_support <= m:

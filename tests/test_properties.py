@@ -1,6 +1,7 @@
 """Property tests: precision escalation agrees with exact rational answers,
 order verdicts are monotone in their budgets, the one-scan containment
-test agrees with its two-scan reference, computable-real balls contain
+test agrees with its two-scan reference, products and inverses agree
+with one convolution_sum per coefficient, computable-real balls contain
 the values mpmath computes, and evaluate agrees with an independent
 truncated power-series evaluator."""
 
@@ -12,6 +13,7 @@ from fractions import Fraction
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
+import reference_number  # noqa: E402
 import reference_order  # noqa: E402
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
@@ -19,10 +21,13 @@ from hypothesis import strategies as st  # noqa: E402
 from rzl import expr as E  # noqa: E402
 from rzl.calculus import der, evaluate  # noqa: E402
 from rzl.number import (  # noqa: E402
+    EXACT_WIDTH,
     epsilon,
     from_coefficients,
     from_rational,
+    inverse,
     leading_index,
+    make_number,
     monomial,
 )
 from rzl.order import (  # noqa: E402
@@ -251,6 +256,97 @@ def test_within_radius_matches_the_two_scan_reference(dr, depth, budget):
         lambda: reference_order.within_radius(d, r, depth, budget))
     assert got == want
     assert got_clears <= want_clears
+
+
+# -- the exact-window kernel against convolution_sum -------------------------------
+
+exact_coeffs = st.one_of(
+    st.integers(min_value=-7, max_value=7),
+    st.fractions(min_value=-3, max_value=3, max_denominator=12),
+    st.sampled_from([0, Fraction(0), Fraction(3, 1), Fraction(-1, 1)]))
+
+
+@st.composite
+def recorded_streams(draw, lead=None):
+    """A recipe (low, coefficients, bounded) for `make_number`: exact zeros
+    ahead of the first drawn coefficient (`lead`, if given), up to three
+    windows' worth of exact coefficients, perhaps one CompReal, and a
+    support that ends with the list or repeats it without end."""
+    low = draw(st.integers(min_value=-2, max_value=1))
+    zeros = draw(st.lists(st.sampled_from([0, Fraction(0)]), max_size=3))
+    size = draw(st.integers(min_value=1, max_value=3 * EXACT_WIDTH))
+    coeffs = draw(st.lists(exact_coeffs, min_size=size, max_size=size))
+    if lead is not None:
+        coeffs[0] = draw(lead)
+    coeffs = zeros + coeffs
+    if draw(st.booleans()):
+        at = draw(st.integers(min_value=len(zeros) + (lead is not None),
+                              max_value=len(coeffs)))
+        if at < len(coeffs):
+            coeffs[at] = draw(computable())[1]
+    return low, coeffs, draw(st.booleans())
+
+
+def _recorded(recipe, reads):
+    """The recipe's stream; every index its coefficient function is called
+    at goes into `reads`."""
+    low, coeffs, bounded = recipe
+
+    def coeff(i):
+        reads.add(i)
+        return coeffs[(i - low) % len(coeffs)]
+
+    return make_number(low, coeff, low + len(coeffs) - 1 if bounded else None)
+
+
+def _same_scalar(got, want):
+    assert type(got) is type(want)
+    if isinstance(want, CompReal):
+        assert got.ball(64) == want.ball(64)
+    else:
+        assert got == want
+
+
+@st.composite
+def convolutions(draw):
+    """(op, recipes): a product of two streams, a square, an inverse with
+    leading coefficient +-1, 2 or 1/2, or such an inverse times a stream."""
+    op = draw(st.sampled_from(["mul", "square", "inverse", "inverse*b"]))
+    lead = st.sampled_from([1, -1, 2, Fraction(1, 2)]) if op.startswith("inverse") else None
+    return op, [draw(recorded_streams(lead)), draw(recorded_streams())]
+
+
+def _convolution(op, x, y, mul, inv):
+    if op == "mul":
+        return mul(x, y)
+    if op == "square":
+        return mul(x, x)
+    if op == "inverse":
+        return inv(x)
+    return mul(inv(x), y)
+
+
+@settings(deadline=None, max_examples=200, derandomize=True)
+@given(convolutions(), st.integers(min_value=1, max_value=4 * EXACT_WIDTH), st.data())
+def test_exact_window_matches_convolution_sum(case, n, data):
+    """Products and inverses return the value and type that one
+    convolution_sum per coefficient returns, in index order and in shuffled
+    (cold) order, over windows on both sides of EXACT_WIDTH; and after each
+    output read their operands have been read at exactly the same indices,
+    so no b(k - i) is read where a(i) is an exact 0."""
+    op, recipes = case
+    got_reads, want_reads = [set(), set()], [set(), set()]
+    got = _convolution(op, *map(_recorded, recipes, got_reads),
+                       operator.mul, inverse)
+    want = _convolution(op, *map(_recorded, recipes, want_reads),
+                        reference_number.product, reference_number.inverse)
+    assert (got.low, got.finite_support) == (want.low, want.finite_support)
+    indices = list(range(want.low, want.low + n))
+    if data.draw(st.booleans(), label="shuffled"):
+        indices = data.draw(st.permutations(indices), label="order")
+    for k in indices:
+        _same_scalar(got[k], want[k])
+        assert got_reads == want_reads, k
 
 
 # -- ball arithmetic against an independent oracle -------------------------------

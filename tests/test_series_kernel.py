@@ -2,8 +2,10 @@
 Taylor shift, identities, a high index, and sharing streams between threads."""
 
 import math
+import random
 import sys
 import threading
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -18,6 +20,7 @@ from rzl.number import (
     from_rational,
     inverse,
     leading_index,
+    make_number,
     one,
     part,
 )
@@ -197,17 +200,41 @@ def test_high_index_without_recursion():
     assert transcendental("exp", epsilon())[1200] == F(1, math.factorial(1200))
 
 
-@pytest.mark.parametrize("build", [
-    lambda: inverse(1 + transcendental("sin", epsilon())),
-    lambda: transcendental("exp", epsilon() + epsilon() ** 2),
-], ids=["inverse(1+sin(eps))", "exp(eps+eps^2)"])
-def test_shared_stream_across_threads(build):
-    expected = [build()[k] for k in range(60)]
+def _dense(seed, n, pool, lead=None):
+    """A polynomial of n coefficients drawn from pool.  Each first read of
+    a coefficient yields the interpreter lock, so that threads sharing a
+    product of such factors often read one operand index at once."""
+    rng = random.Random(seed)
+    coeffs = [rng.choice(pool) for _ in range(n)]
+    if lead is not None:
+        coeffs[0] = lead
+
+    def coeff(i):
+        time.sleep(0)
+        return coeffs[i]
+
+    return make_number(0, coeff, n - 1)
+
+
+_FRACTIONS = (F(1), F(-2), F(1, 2), F(3), F(-1, 3), F(2, 3), F(-3, 2))
+
+
+@pytest.mark.parametrize("build, n", [
+    (lambda: inverse(1 + transcendental("sin", epsilon())), 60),
+    (lambda: transcendental("exp", epsilon() + epsilon() ** 2), 60),
+    # wide exact windows: the threads share one window's prefixes
+    (lambda: _dense(1, 100, _FRACTIONS) * _dense(2, 100, _FRACTIONS), 199),
+    (lambda: inverse(_dense(3, 40, (1, 2, -1, -2, 0), lead=1)), 64),
+], ids=["inverse(1+sin(eps))", "exp(eps+eps^2)", "poly100*poly100", "inverse(poly40)"])
+def test_shared_stream_across_threads(build, n):
+    expected = [build()[k] for k in range(n)]
     shared = build()
     results = [None] * 4
+    start = threading.Barrier(4)
 
     def read(slot):
-        results[slot] = [shared[k] for k in range(60)]
+        start.wait(timeout=60)   # all four begin at index 0 together
+        results[slot] = [shared[k] for k in range(n)]
 
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
